@@ -17,13 +17,23 @@ from nrsteer.numrange import OUTSIDE, contains_zero_unitary
 from nrsteer.steering import plan
 from nrsteer.testkit import haar_unitary
 
+# Rejection sampling gives up after this many draws per dimension: the origin
+# lies outside W(U) for about 5% of Haar draws at d = 4 and almost never from d = 6.
+MAX_DRAWS_PER_DIM = 20_000
+
 
 def survey(dims, per_dim, seed, horizon):
     rng = np.random.default_rng(seed)
     rows = []
     for d in dims:
-        found = 0
+        found = draws = 0
         while found < per_dim:
+            if draws == MAX_DRAWS_PER_DIM:
+                raise SystemExit(
+                    f"error: d={d}: found {found} of {per_dim} unitaries with 0 outside "
+                    f"the numerical range in {draws} Haar draws"
+                )
+            draws += 1
             u = haar_unitary(d, rng)
             if contains_zero_unitary(unitary_eig(u)) != OUTSIDE:
                 continue

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 parse/input error, 3 check failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,10 +26,16 @@ import time
 import numpy as np
 
 from . import demo, iofmt
-from .linalg import RELAXED_UNITARITY_TOL, schatten_inf, unitary_eig
+from .linalg import RELAXED_UNITARITY_TOL, _unitary_eig, schatten_inf, unitary_eig
 from .numrange import INSIDE, contains_zero_general, support_profile
-from .perturb import PerturbationGenerator, TrackingCollisionError, perturbed_unitary, track_trajectory
-from .steering import NothingToSteerError, perturbation_cost, plan
+from .perturb import (
+    DIRECTIONS,
+    PerturbationGenerator,
+    TrackingCollisionError,
+    perturbed_unitary,
+    track_trajectory,
+)
+from .steering import NothingToSteerError, perturbation_cost, plan, speed_profile
 from .verify import run_all
 
 EXIT_OK = 0
@@ -58,10 +65,9 @@ def _parse_probability(text: str) -> np.ndarray:
 
 
 def _parse_direction(text: str) -> str:
-    alias = {"cw": "cw", "clockwise": "cw", "ccw": "ccw", "counterclockwise": "ccw"}
-    if text.lower() not in alias:
+    if text.lower() not in DIRECTIONS:
         raise argparse.ArgumentTypeError(f"direction must be cw or ccw, got {text!r}")
-    return alias[text.lower()]
+    return DIRECTIONS[text.lower()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,14 +204,7 @@ def _cmd_steer(args) -> int:
             "angles": args.angles,
             "unitarity_tol": RELAXED_UNITARITY_TOL,
         },
-        "plan": {
-            "p": result.p,
-            "direction": result.direction,
-            "t_star": result.t_star,
-            "perturbation_norm": result.perturbation_norm,
-            "verdict": result.verdict,
-            "target_gap": list(result.target_gap),
-        },
+        "plan": dataclasses.asdict(result),
     }
     _write_report(os.path.join(out, "report.json"), report)
     print(f"verdict: {result.verdict}")
@@ -265,7 +264,7 @@ def _cmd_example(args) -> int:
     matrix = demo.DEMO_MATRIX
 
     system = unitary_eig(matrix, unitarity_tol=demo.DEMO_UNITARITY_TOL)
-    profile_matrix = np.abs(system.vectors.T) ** 2
+    profile_matrix = speed_profile(system)
 
     checks: list[tuple[str, bool, str]] = []
     rows_ok = _match_profile_rows(
@@ -316,7 +315,7 @@ def _cmd_example(args) -> int:
     iofmt.render_range_svg(
         os.path.join(out, "range_perturbed.svg"),
         pushed_profile,
-        eigenvalues=_maybe_eigenvalues(pushed),
+        eigenvalues=_unitary_eig(pushed).values,
         title=f"numerical range: pushed at t={demo.REFERENCE_PUSH_T}",
     )
 
@@ -330,14 +329,7 @@ def _cmd_example(args) -> int:
             "angles": 2048,
         },
         "speed_profile": profile_matrix,
-        "plan": {
-            "p": result.p,
-            "direction": result.direction,
-            "t_star": result.t_star,
-            "perturbation_norm": result.perturbation_norm,
-            "verdict": result.verdict,
-            "target_gap": list(result.target_gap),
-        },
+        "plan": dataclasses.asdict(result),
         "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
         "files": [
             "range_initial.csv",

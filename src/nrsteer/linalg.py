@@ -2,7 +2,8 @@
 
 Everything here works on plain complex ``numpy`` arrays.  Matrices are
 validated at API boundaries (:func:`check_unitary`, :func:`check_hermitian`)
-instead of being wrapped in dedicated classes; structured results
+instead of being wrapped in dedicated classes, once: callers that already
+hold a checked unitary use the unchecked core ``_unitary_eig``; structured results
 (:class:`EigenSystem`, :class:`EigenspaceIsometry`, :class:`GeneratorReduction`)
 are frozen dataclasses.
 
@@ -43,6 +44,7 @@ __all__ = [
     "check_hermitian",
     "herm_eig",
     "unitary_eig",
+    "principal_args",
     "schatten_norm",
     "schatten_inf",
     "principal_log_unitary",
@@ -240,11 +242,19 @@ def unitary_eig(
 ) -> EigenSystem:
     """Spectral decomposition of a unitary matrix, ccw-ordered.
 
-    Diagonalizes A = (U + U†)/2 by a symmetric eigensolve, then resolves each
+    Checks unitarity within ``unitarity_tol``, then diagonalizes A = (U + U†)/2 by a symmetric eigensolve, then resolves each
     degenerate A-eigenspace by diagonalizing the compression of
     B = (U − U†)/(2i) inside it; eigenvalues recombine as λ = ⟨x|A|x⟩ + i⟨x|B|x⟩.
     """
-    u = check_unitary(u, tol=unitarity_tol)
+    return _unitary_eig(check_unitary(u, tol=unitarity_tol), cluster_tol)
+
+
+def _unitary_eig(u: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem:
+    """:func:`unitary_eig` without the unitarity check.
+
+    For callers that hold a checked U, or a matrix built from checked ones
+    (such as U·V(t) or U†V), whose unitarity therefore needs no re-check.
+    """
     d = u.shape[0]
     a_part = (u + u.conj().T) / 2
     b_part = (u - u.conj().T) / 2j
@@ -266,18 +276,13 @@ def unitary_eig(
         cols.append(block)
         i = j + 1
     vecs = _fix_column_phases(np.hstack(cols))
-    vals = np.einsum("ij,ik,kj->j", vecs.conj(), a_part, vecs) + 1j * np.einsum(
-        "ij,ik,kj->j", vecs.conj(), b_part, vecs
-    )
+    conj = vecs.conj()
+    vals = (conj * (a_part @ vecs)).sum(0) + 1j * (conj * (b_part @ vecs)).sum(0)
 
-    # ccw order: ascending principal argument, eigenvector entries break ties
-    args = np.angle(vals)
-    args = np.where(args <= -np.pi, args + 2 * np.pi, args)
-    keys = [
-        (args[j],) + tuple(x for z in vecs[:, j] for x in (z.real, z.imag))
-        for j in range(d)
-    ]
-    order = sorted(range(d), key=lambda j: keys[j])
+    # ccw order: ascending principal argument, then the eigenvector entries
+    # (Re x₀, Im x₀, Re x₁, …) break ties; lexsort's last key is the primary one
+    entries = np.stack([vecs.real, vecs.imag], axis=1).reshape(2 * d, d)
+    order = np.lexsort(np.vstack([entries[::-1], principal_args(vals)]))
     vals = vals[order]
     vecs = vecs[:, order]
 
@@ -285,8 +290,14 @@ def unitary_eig(
     return EigenSystem(values=vals, vectors=vecs, groups=groups)
 
 
-def _principal_args(values: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
-    """Principal arguments in (−π, π], warning near the branch cut at −1."""
+def principal_args(values: np.ndarray) -> np.ndarray:
+    """Principal arguments in (−π, π]."""
+    args = np.angle(values)
+    return np.where(args <= -np.pi, args + 2 * np.pi, args)
+
+
+def _log_args(values: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
+    """Principal arguments for a logarithm, warning near the branch cut at −1."""
     if np.any(np.abs(values + 1.0) < branch_tol):
         warnings.warn(
             "eigenvalue at or near -1: the principal logarithm is discontinuous "
@@ -294,8 +305,7 @@ def _principal_args(values: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.nd
             BranchCutWarning,
             stacklevel=3,
         )
-    args = np.angle(values)
-    return np.where(args <= -np.pi, args + 2 * np.pi, args)
+    return principal_args(values)
 
 
 def principal_log_unitary(
@@ -308,7 +318,7 @@ def principal_log_unitary(
     Eigenvalues at −1 get argument +π and raise :class:`BranchCutWarning`.
     """
     system = unitary_eig(u, unitarity_tol=unitarity_tol)
-    theta = _principal_args(system.values, branch_tol=branch_tol)
+    theta = _log_args(system.values, branch_tol=branch_tol)
     h = (system.vectors * theta) @ system.vectors.conj().T
     return (h + h.conj().T) / 2
 
@@ -328,8 +338,8 @@ def geodesic_point(
     """Point U·exp(t·Log(U†V)) on the shortest unitary-group curve from U to V."""
     u = check_unitary(u, tol=unitarity_tol)
     v = check_unitary(v, tol=unitarity_tol)
-    system = unitary_eig(u.conj().T @ v, unitarity_tol=max(unitarity_tol, 1e-9))
-    theta = _principal_args(system.values)
+    system = _unitary_eig(u.conj().T @ v)
+    theta = _log_args(system.values)
     x = system.vectors
     return u @ ((x * np.exp(1j * t * theta)) @ x.conj().T)
 

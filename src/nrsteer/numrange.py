@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenSystem, as_complex_matrix, herm_eig, schatten_inf
+from .linalg import EigenSystem, as_complex_matrix, herm_eig, principal_args, schatten_inf
 
 ANGLES_DISPLAY = 720    # default sweep resolution for figures
 ANGLES_DECISION = 2048  # default sweep resolution for membership decisions
@@ -43,6 +43,7 @@ __all__ = [
     "support_values",
     "support_profile",
     "unitary_range_polygon",
+    "widest_gap",
     "contains_zero_unitary",
     "contains_zero_general",
     "distance_to_zero",
@@ -111,24 +112,33 @@ def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportPro
 def unitary_range_polygon(system: EigenSystem) -> RangePolygon:
     """Vertices of W(U): the distinct eigenvalues in counterclockwise order."""
     reps = system.representatives()
-    args = np.angle(reps)
-    args = np.where(args <= -np.pi, args + 2 * np.pi, args)
-    return RangePolygon(vertices=reps[np.argsort(args, kind="stable")])
+    return RangePolygon(vertices=reps[np.argsort(principal_args(reps), kind="stable")])
 
 
-def _circular_gaps(args: np.ndarray) -> np.ndarray:
-    """Arc gaps between consecutive sorted arguments, wrap gap included."""
-    s = np.sort(args)
-    return np.diff(np.concatenate([s, [s[0] + 2 * np.pi]]))
+def widest_gap(system: EigenSystem) -> tuple[float, int, int]:
+    """Widest arc gap between ccw-consecutive eigenvalue clusters.
+
+    Returns ``(gap, start, end)``: the gap opens at cluster ``start`` and
+    closes ccw at cluster ``end`` (indices into ``system.groups``).  The wrap
+    gap across ±π counts; a single cluster has one gap of 2π onto itself.
+    """
+    args = np.angle(system.representatives())
+    order = np.argsort(args, kind="stable")
+    sorted_args = args[order]
+    gaps = np.diff(np.concatenate([sorted_args, [sorted_args[0] + 2 * np.pi]]))
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), int(order[k]), int(order[(k + 1) % len(order)])
 
 
 def contains_zero_unitary(system: EigenSystem, gap_tol: float = BOUNDARY_GAP_TOL) -> str:
-    """Gap test: 0 lies in the spectral hull iff no arc gap exceeds π."""
-    reps = system.representatives()
-    if reps.shape[0] == 1:
+    """Gap test: 0 lies in the spectral hull iff no arc gap exceeds π.
+
+    The widest gap comes from :func:`widest_gap`; within ``gap_tol`` of π the
+    origin lies on the boundary.
+    """
+    if len(system.groups) == 1:
         return OUTSIDE
-    args = np.angle(reps)
-    gap = float(_circular_gaps(args).max())
+    gap, _, _ = widest_gap(system)
     if abs(gap - np.pi) <= gap_tol:
         return ON_BOUNDARY
     return OUTSIDE if gap > np.pi else INSIDE

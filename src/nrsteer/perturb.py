@@ -21,12 +21,14 @@ from .linalg import (
     UNITARITY_TOL,
     EigenSystem,
     EigenspaceIsometry,
+    _unitary_eig,
     check_unitary,
-    unitary_eig,
+    principal_args,
 )
 
 CCW = "ccw"
 CW = "cw"
+DIRECTIONS = {CCW: CCW, "counterclockwise": CCW, CW: CW, "clockwise": CW}  # alias -> name
 
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
@@ -38,6 +40,7 @@ AMBIGUITY_FLOOR = 1e-12
 __all__ = [
     "CCW",
     "CW",
+    "DIRECTIONS",
     "STATIONARY_TOL",
     "PerturbationGenerator",
     "CompressedPerturbation",
@@ -46,6 +49,7 @@ __all__ = [
     "TrackingCollisionError",
     "perturbation_matrix",
     "perturbed_unitary",
+    "angular_speeds",
     "simple_velocity",
     "first_order_eigenvalue",
     "compress_generator",
@@ -56,11 +60,9 @@ __all__ = [
 
 
 def _direction_sign(direction: str) -> float:
-    if direction in (CCW, "counterclockwise"):
-        return 1.0
-    if direction in (CW, "clockwise"):
-        return -1.0
-    raise ValueError(f"unknown direction {direction!r}; expected 'ccw' or 'cw'")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}; expected 'ccw' or 'cw'")
+    return 1.0 if DIRECTIONS[direction] == CCW else -1.0
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,26 @@ def perturbed_unitary(u: np.ndarray, gen: PerturbationGenerator, t: float) -> np
     return u * np.exp(1j * gen.sign * gen.p * t)[None, :]
 
 
+def angular_speeds(vectors: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Angular speeds Σ_i p_i |x_i|² of the eigenvector columns x of ``vectors``.
+
+    Batched as p·|X|²: a 1-d ``vectors`` gives one speed, and a 2-d ``p``
+    gives one row of speeds per weight vector.
+    """
+    return np.asarray(p, dtype=np.float64) @ np.abs(vectors) ** 2
+
+
 def simple_velocity(x: np.ndarray, p: np.ndarray) -> float:
-    """Angular speed Σ_i p_i |x_i|² of a nondegenerate eigenvalue."""
+    """Angular speed Σ_i p_i |x_i|² of a nondegenerate eigenvalue.
+
+    :func:`angular_speeds` of one column, after checking that ``x`` is a unit
+    vector.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    p = np.asarray(p, dtype=np.float64)
     nrm = np.linalg.norm(x)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"x must be a unit vector, got norm {nrm!r}")
-    return float(np.real(x.conj() @ (p * x)))
+    return float(angular_speeds(x, p))
 
 
 def first_order_eigenvalue(lam: complex, speed: float, t: float, direction: str = CCW) -> complex:
@@ -188,10 +202,11 @@ def stationarity_certificate(
 
 
 def exact_velocity(lam: complex, x: np.ndarray, p: np.ndarray, direction: str = CCW) -> complex:
-    """Instantaneous velocity ±i·λ·Σ_i p_i |x_i|² of an eigenvalue of U·V(t)."""
-    x = np.asarray(x, dtype=np.complex128)
-    p = np.asarray(p, dtype=np.float64)
-    return _direction_sign(direction) * 1j * lam * float(np.real(x.conj() @ (p * x)))
+    """Instantaneous velocity ±i·λ·Σ_i p_i |x_i|² of an eigenvalue of U·V(t).
+
+    The speed factor is :func:`angular_speeds` of ``x``.
+    """
+    return _direction_sign(direction) * 1j * lam * float(angular_speeds(x, p))
 
 
 class TrackingCollisionError(RuntimeError):
@@ -261,28 +276,23 @@ def _assignment_is_ambiguous(cost: np.ndarray, old: np.ndarray, new: np.ndarray)
 
 
 def _velocities(values: np.ndarray, vectors: np.ndarray, gen: PerturbationGenerator) -> np.ndarray:
-    weights = gen.p[:, None] * np.abs(vectors) ** 2
-    return gen.sign * 1j * values * weights.sum(axis=0)
+    return gen.sign * 1j * values * angular_speeds(vectors, gen.p)
 
 
 def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray) -> np.ndarray:
     """Rotate each degenerate cluster's basis to diagonalize the compression.
 
     Inside a cluster the eigenbasis is arbitrary; the compression eigenbasis
-    is the one whose members carry the actual split speeds (ascending), so
-    recorded velocities are the physical limits rather than basis artifacts.
+    (:func:`compress_generator`) is the one whose members carry the actual
+    split speeds (ascending), so recorded velocities are the physical limits
+    rather than basis artifacts.
     """
-    vectors = system.vectors
     if all(len(g) == 1 for g in system.groups):
-        return vectors
-    adapted = vectors.copy()
-    for g in system.groups:
+        return system.vectors
+    adapted = system.vectors.copy()
+    for gi, g in enumerate(system.groups):
         if len(g) > 1:
-            block = vectors[:, list(g)]
-            comp = block.conj().T @ (p[:, None] * block)
-            comp = (comp + comp.conj().T) / 2
-            _, modes = np.linalg.eigh(comp)
-            adapted[:, list(g)] = block @ modes
+            adapted[:, list(g)] = compress_generator(system.isometry(gi), p).split_vectors
     return adapted
 
 
@@ -302,6 +312,8 @@ def track_trajectory(
     is halved whenever the cheapest matching is ambiguous or any eigenvalue
     moved more than π/8; underflow below 1e-12 raises
     :class:`TrackingCollisionError`.  ``checkpoints`` are forced onto the grid.
+    U is checked for unitarity once, here: every U·V(t) only rescales its
+    columns by unit phases and keeps its unitarity defect.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -313,31 +325,24 @@ def track_trajectory(
         raise ValueError("generator dimension does not match the matrix")
 
     marks = sorted({float(c) for c in checkpoints if 0.0 < float(c) <= t_end})
-    system = unitary_eig(u, unitarity_tol=unitarity_tol, cluster_tol=cluster_tol)
+    system = _unitary_eig(u, cluster_tol=cluster_tol)
 
     ts = [0.0]
     paths = [system.values]
     vels = [_velocities(system.values, _adapt_cluster_bases(system, gen.p), gen)]
-    args0 = np.angle(system.values)
-    args0 = np.where(args0 <= -np.pi, args0 + 2 * np.pi, args0)
-    unwrapped = [args0]
+    unwrapped = [principal_args(system.values)]
 
     t = 0.0
     prev_vals = system.values
     step = max_step
-    # re-diagonalization tolerance: V(t) phases keep unitarity at machine level
-    eig_tol = max(unitarity_tol, 1e-9)
 
     while t < t_end - 1e-15:
         upcoming = next((m for m in marks if m > t + 1e-15), None)
         limit = min(t_end, upcoming) if upcoming is not None else t_end
         t_try = min(t + step, limit)
 
-        moved = unitary_eig(
-            perturbed_unitary(u, gen, t_try),
-            unitarity_tol=eig_tol,
-            cluster_tol=cluster_tol,
-        )
+        # U·V(t) only rescales the columns of the checked U: no re-check
+        moved = _unitary_eig(perturbed_unitary(u, gen, t_try), cluster_tol=cluster_tol)
         cost = _arc_distance_matrix(prev_vals, moved.values)
         rows, cols = linear_sum_assignment(cost)
         perm = np.empty(d, dtype=int)

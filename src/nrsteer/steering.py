@@ -19,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RELAXED_UNITARITY_TOL, EigenSystem, check_unitary, unitary_eig
+from .linalg import RELAXED_UNITARITY_TOL, EigenSystem, _unitary_eig, check_unitary
 from .numrange import (
     ANGLES_DECISION,
-    BOUNDARY_WITHIN_TOL,
     INSIDE,
     OUTSIDE,
     contains_zero_general,
     contains_zero_unitary,
+    widest_gap,
 )
-from .perturb import CCW, CW, PerturbationGenerator, perturbed_unitary
+from .perturb import CCW, CW, PerturbationGenerator, angular_speeds, perturbed_unitary
 
 SCAN_POINTS = 256  # coarse grid resolution ahead of the bisection
 
@@ -72,22 +72,10 @@ def speed_profile(system: EigenSystem) -> np.ndarray:
     Row j follows the ccw eigenvalue order; column i is the computational
     basis index; S[j, i] is the angular speed of eigenvalue j under the
     one-hot weight vector e_i.  S is doubly stochastic because the
-    eigenvectors form a unitary matrix.
+    eigenvectors form a unitary matrix.  Column i is
+    :func:`~nrsteer.perturb.angular_speeds` under e_i.
     """
-    return np.abs(system.vectors.T) ** 2
-
-
-def _wide_gap_pair(system: EigenSystem) -> tuple[int, int]:
-    """Indices (gap start, gap end ccw) of the arc gap wider than π."""
-    reps = system.representatives()
-    args = np.angle(reps)
-    order = np.argsort(args, kind="stable")
-    sorted_args = args[order]
-    gaps = np.diff(np.concatenate([sorted_args, [sorted_args[0] + 2 * np.pi]]))
-    k = int(np.argmax(gaps))
-    start_group = order[k]
-    end_group = order[(k + 1) % len(order)]
-    return system.groups[start_group][0], system.groups[end_group][0]
+    return angular_speeds(system.vectors, np.eye(system.dim)).T
 
 
 def select_generator(
@@ -99,11 +87,13 @@ def select_generator(
     rate S[a,i] − S[b,i] under ccw rotation with weight e_i (the sign flips
     for cw), so the basis index with the largest absolute row difference is
     chosen and the sign dictates the direction.  Ties resolve to the lowest
-    basis index.
+    basis index.  The gap (a, b) is the one :func:`~nrsteer.numrange.widest_gap`
+    finds.
     """
     if contains_zero_unitary(system) != OUTSIDE:
         raise NothingToSteerError("nothing to steer: 0 already lies in the numerical range")
-    a, b = _wide_gap_pair(system)
+    _, start, end = widest_gap(system)
+    a, b = system.groups[start][0], system.groups[end][0]
     diff = profile[a] - profile[b]
     best = int(np.argmax(np.abs(diff)))
     direction = CCW if diff[best] > 0 else CW
@@ -172,7 +162,7 @@ def plan(
 ) -> SteeringPlan:
     """Full pipeline: eigensystem → speed profile → generator → minimal time."""
     u = check_unitary(u, tol=unitarity_tol)
-    system = unitary_eig(u, unitarity_tol=unitarity_tol)
+    system = _unitary_eig(u)
     gen, gap = select_generator(system, speed_profile(system))
     t_star, verdict = min_time_search(u, gen, t_horizon, tol_t, n_angles=n_angles)
     norm = perturbation_cost(gen.p, t_star) if t_star is not None else None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CLUSTER_TOL, check_unitary, unitary_eig
+from .linalg import CLUSTER_TOL, unitary_eig
 from .perturb import PerturbationGenerator, TrajectoryRecord, track_trajectory
 
 __all__ = [
@@ -55,7 +55,6 @@ class Fixture:
     support_size: int
 
     def __post_init__(self):
-        check_unitary(self.matrix, tol=1e-10)
         system = unitary_eig(self.matrix)
         sizes = [
             len(g)
@@ -72,14 +71,18 @@ class Fixture:
 
 
 def _separated_angles(rng: np.random.Generator, count: int, min_gap: float) -> np.ndarray:
-    """Angles in (−π, π] with pairwise circular separation at least ``min_gap``."""
-    while True:
-        angles = rng.uniform(-np.pi, np.pi, size=count)
-        diffs = np.abs(angles[:, None] - angles[None, :])
-        circ = np.minimum(diffs, 2 * np.pi - diffs)
-        np.fill_diagonal(circ, np.inf)
-        if circ.min() >= min_gap:
-            return angles
+    """Angles in (−π, π] with pairwise circular separation at least ``min_gap``.
+
+    Uniform points conditioned on the separation, built directly: the ccw
+    gaps are min_gap + (2π − count·min_gap)·Dirichlet(1, …, 1), and the
+    whole configuration is rotated uniformly.
+    """
+    slack = 2 * np.pi - count * min_gap
+    if slack <= 0:
+        raise ValueError(f"{count} angles cannot be {min_gap} apart on the circle")
+    gaps = min_gap + slack * rng.dirichlet(np.ones(count))
+    angles = rng.uniform(-np.pi, np.pi) + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    return np.pi - (np.pi - angles) % (2 * np.pi)
 
 
 def degenerate_fixture(d: int, k: int, l: int, seed=None) -> Fixture:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import CLUSTER_TOL, unitary_eig
+from .linalg import CLUSTER_TOL, _unitary_eig, unitary_eig
 from .perturb import (
     CCW,
     PerturbationGenerator,
@@ -81,6 +81,11 @@ def _trial_dims(dims: tuple[int, ...], n: int) -> list[int]:
     return [dims[i % len(dims)] for i in range(n)]
 
 
+def _scaled(n_trials: int, divisor: int) -> int:
+    """``n_trials // divisor``, but at least one unless no trials are requested."""
+    return max(n_trials // divisor, 1) if n_trials else 0
+
+
 def run_budget_and_monotonicity(
     seed: int,
     n_trials: int,
@@ -123,7 +128,7 @@ def run_stationarity_and_multiplicity(
         k = int(rng.integers(2, d + 1))
         l = int(rng.integers(1, k))
         fixture = degenerate_fixture(d, k, l, rng)
-        system = unitary_eig(fixture.matrix)
+        system = _unitary_eig(fixture.matrix)  # checked when the fixture was built
         group = next(
             gi
             for gi, g in enumerate(system.groups)
@@ -140,7 +145,7 @@ def run_stationarity_and_multiplicity(
                 worst_residual = np.inf
                 break
             worst_residual = max(worst_residual, cert.probe_residual)
-            moved = unitary_eig(perturbed_unitary(fixture.matrix, gen, t), unitarity_tol=1e-9)
+            moved = _unitary_eig(perturbed_unitary(fixture.matrix, gen, t))
             count = int(np.sum(np.abs(moved.values - fixture.eigenvalue) <= CLUSTER_TOL))
             min_count = min(min_count, count)
 
@@ -159,7 +164,7 @@ def run_stationarity_and_multiplicity(
 
 
 def _nearest_eigenvalues(u: np.ndarray, gen: PerturbationGenerator, t: float) -> np.ndarray:
-    return unitary_eig(perturbed_unitary(u, gen, t), unitarity_tol=1e-9).values
+    return _unitary_eig(perturbed_unitary(u, gen, t)).values
 
 
 def quadratic_remainder_ratio(
@@ -236,7 +241,7 @@ def run_first_order_split(
         u = fixture.matrix
         p = rng.dirichlet(np.ones(d))
         gen = PerturbationGenerator(p=p)
-        system = unitary_eig(u)
+        system = _unitary_eig(u)  # checked when the fixture was built
         group = next(
             gi
             for gi, g in enumerate(system.groups)
@@ -272,24 +277,12 @@ def run_all(
     dims: tuple[int, ...] = (2, 3, 4, 5, 6),
 ) -> list[PropertyOutcome]:
     """Full suite with trial counts scaled from ``n_trials``."""
-    if n_trials == 0:
-        return [
-            PropertyOutcome(name=name, trials=0)
-            for name in (
-                "velocity-budget",
-                "monotone-rotation",
-                "stationary-witness",
-                "residual-multiplicity",
-                "first-order-simple",
-                "first-order-split",
-            )
-        ]
     budget, mono = run_budget_and_monotonicity(seed, n_trials, dims)
     fix_dims = tuple(d for d in dims if d >= 2) or (3,)
     stationary, multiplicity = run_stationarity_and_multiplicity(
-        seed + 1, max(n_trials // 2, 1), fix_dims
+        seed + 1, _scaled(n_trials, 2), fix_dims
     )
-    simple = run_first_order_simple(seed + 2, max(n_trials // 2, 1), dims)
+    simple = run_first_order_simple(seed + 2, _scaled(n_trials, 2), dims)
     split_dims = tuple(d for d in dims if d >= 3) or (3,)
-    split = run_first_order_split(seed + 3, max(n_trials // 5, 1), split_dims)
+    split = run_first_order_split(seed + 3, _scaled(n_trials, 5), split_dims)
     return [budget, mono, stationary, multiplicity, simple, split]

@@ -19,7 +19,7 @@ from nrsteer.linalg import (
     unitary_exp_herm,
 )
 from nrsteer.numrange import support_values
-from nrsteer.testkit import haar_unitary
+from nrsteer.testkit import degenerate_fixture, haar_unitary
 
 
 def complex_mat(rows):
@@ -133,6 +133,43 @@ class TestUnitaryEig:
         cols = iso.columns
         assert schatten_inf(cols.conj().T @ cols - np.eye(3)) < 1e-10
         assert schatten_inf(u @ cols - iso.eigenvalue * cols) < 1e-9
+
+
+def _reference_ccw_order(values, vectors):
+    """Order contract of unitary_eig as a plain tuple-key sort: principal
+    argument in (−π, π], then the entries Re x₀, Im x₀, Re x₁, … break ties."""
+    args = np.angle(values)
+    args = np.where(args <= -np.pi, args + 2 * np.pi, args)
+    keys = [
+        (args[j],) + tuple(c for z in vectors[:, j] for c in (z.real, z.imag))
+        for j in range(values.shape[0])
+    ]
+    return sorted(range(values.shape[0]), key=lambda j: keys[j])
+
+
+class TestUnitaryEigOrder:
+    def assert_reference_order(self, system, seed):
+        # re-sorting a shuffled copy by the reference key must give the output back
+        perm = np.random.default_rng(seed).permutation(system.dim)
+        vals, vecs = system.values[perm], system.vectors[:, perm]
+        ref = _reference_ccw_order(vals, vecs)
+        assert np.array_equal(vals[ref], system.values)
+        assert np.array_equal(vecs[:, ref], system.vectors)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -2.1, np.pi, -np.pi])
+    def test_scalar_matrix(self, phi):
+        system = unitary_eig(np.exp(1j * phi) * np.eye(5, dtype=complex))
+        assert np.unique(np.angle(system.values)).size == 1  # all ties: entries decide
+        self.assert_reference_order(system, seed=0)
+
+    @pytest.mark.parametrize("d,k,l", [(3, 2, 1), (5, 3, 2), (6, 4, 1), (8, 5, 3)])
+    def test_degenerate_fixture(self, d, k, l):
+        fixture = degenerate_fixture(d, k, l, seed=10 * d + k)
+        self.assert_reference_order(unitary_eig(fixture.matrix), seed=d)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_haar(self, seed):
+        self.assert_reference_order(unitary_eig(haar_unitary(6, seed)), seed=seed)
 
 
 class TestSchatten:

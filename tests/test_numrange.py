@@ -17,6 +17,7 @@ from nrsteer.numrange import (
     support_profile,
     support_values,
     unitary_range_polygon,
+    widest_gap,
 )
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary
 from nrsteer.testkit import haar_unitary
@@ -119,6 +120,19 @@ class TestUnitaryPolygon:
         angles, h = support_values(u, 512)
         proj = np.real(np.exp(-1j * angles)[:, None] * poly.vertices[None, :])
         assert np.all(proj <= h[:, None] + 1e-9)
+
+
+class TestWidestGap:
+    def test_wrap_gap(self):
+        system = unitary_eig(np.diag(np.exp(1j * np.array([0.0, 0.5, 1.0]))))
+        gap, start, end = widest_gap(system)
+        assert gap == pytest.approx(2 * np.pi - 1.0, abs=1e-12)
+        assert (start, end) == (2, 0)
+
+    def test_single_cluster(self):
+        gap, start, end = widest_gap(unitary_eig(np.eye(3, dtype=complex)))
+        assert gap == pytest.approx(2 * np.pi)
+        assert start == end == 0
 
 
 class TestContainsZeroUnitary:

@@ -138,6 +138,14 @@ class TestPlan:
         with pytest.raises(NothingToSteerError):
             plan(np.diag(np.exp(2j * np.pi * np.arange(3) / 3)))
 
+    def test_entry_points_reject_non_unitary(self):
+        u = 1.01 * haar_unitary(3, 8)  # defect 0.02, above the relaxed 1e-4
+        with pytest.raises(ValueError, match="not unitary"):
+            plan(u)
+        gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="not unitary"):
+            track_trajectory(u, gen, t_end=1.0, unitarity_tol=1e-4)
+
     def test_hand_case_consistent(self):
         result = plan(np.diag([1.0, np.exp(1j * np.pi / 2)]), tol_t=1e-4)
         assert abs(result.t_star - np.pi / 2) < 5e-3

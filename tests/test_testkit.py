@@ -5,7 +5,13 @@ from scipy import stats
 from nrsteer.linalg import schatten_inf, unitary_eig
 from nrsteer.numrange import contains_zero_general, contains_zero_unitary
 from nrsteer.perturb import PerturbationGenerator
-from nrsteer.testkit import brute_membership, degenerate_fixture, fd_velocity, haar_unitary
+from nrsteer.testkit import (
+    _separated_angles,
+    brute_membership,
+    degenerate_fixture,
+    fd_velocity,
+    haar_unitary,
+)
 
 
 class TestHaarUnitary:
@@ -61,6 +67,32 @@ class TestDegenerateFixture:
             degenerate_fixture(3, 3, 3, seed=0)  # needs l < k
         with pytest.raises(ValueError):
             degenerate_fixture(3, 4, 1, seed=0)  # needs k <= d
+
+    def test_many_distinct_eigenvalues(self):
+        # 19 angles 0.3 apart fill 91% of the circle
+        fixture = degenerate_fixture(30, 12, 3, seed=0)
+        assert fixture.multiplicity == 12
+
+
+class TestSeparatedAngles:
+    @pytest.mark.parametrize("count", [1, 2, 5, 19, 20])
+    def test_min_gap(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(50):
+            angles = _separated_angles(rng, count, 0.3)
+            assert angles.shape == (count,)
+            assert np.all((angles > -np.pi) & (angles <= np.pi))
+            diffs = np.abs(angles[:, None] - angles[None, :])
+            circ = np.minimum(diffs, 2 * np.pi - diffs)
+            np.fill_diagonal(circ, np.inf)
+            assert circ.min() >= 0.3 - 1e-12  # rounding of the wrapped sums
+
+    def test_impossible_separation_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            _separated_angles(rng, 21, 0.3)  # 21·0.3 > 2π
+        with pytest.raises(ValueError):
+            _separated_angles(rng, 4, np.pi / 2)  # exactly 2π leaves no slack
 
 
 class TestFdVelocity:
