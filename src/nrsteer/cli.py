@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_opts(p_steer)
     add_out_dir(p_steer)
     p_steer.add_argument("--horizon", type=float, default=2 * math.pi, help="largest t searched")
-    p_steer.add_argument("--tol-t", type=float, default=1e-3, help="bisection width for t*")
-    p_steer.add_argument("--angles", type=int, default=2048, help="membership sweep resolution")
+    p_steer.add_argument("--tol-t", type=float, default=1e-3, help="certified width of t*")
     p_steer.set_defaults(func=_cmd_steer)
 
     p_traj = sub.add_parser("trajectory", help="track eigenvalue paths of U·V(t)")
@@ -192,7 +191,7 @@ def _cmd_steer(args) -> int:
     matrix, meta = _load_matrix(args)
     out = _ensure_out_dir(args)
     started = time.perf_counter()
-    result = plan(matrix, t_horizon=args.horizon, tol_t=args.tol_t, n_angles=args.angles)
+    result = plan(matrix, t_horizon=args.horizon, tol_t=args.tol_t)
     elapsed = time.perf_counter() - started
 
     report = {
@@ -201,7 +200,6 @@ def _cmd_steer(args) -> int:
         "settings": {
             "horizon": args.horizon,
             "tol_t": args.tol_t,
-            "angles": args.angles,
             "unitarity_tol": RELAXED_UNITARITY_TOL,
         },
         "plan": dataclasses.asdict(result),
@@ -326,7 +324,6 @@ def _cmd_example(args) -> int:
             "unitarity_tol": demo.DEMO_UNITARITY_TOL,
             "horizon": 2 * math.pi,
             "tol_t": 1e-3,
-            "angles": 2048,
         },
         "speed_profile": profile_matrix,
         "plan": dataclasses.asdict(result),

@@ -108,7 +108,11 @@ def herm_eig(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarr
     Returns ``(w, x)`` with real eigenvalues ``w`` ascending and unitary ``x``
     whose columns are the eigenvectors, so that ``h = x @ diag(w) @ x†``.
     """
-    h = check_hermitian(h, tol=tol)
+    return _herm_eig(check_hermitian(h, tol=tol))
+
+
+def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`herm_eig` without the Hermiticity check, for matrices Hermitian by construction."""
     try:
         w, x = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -258,7 +262,7 @@ def _unitary_eig(u: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem
     d = u.shape[0]
     a_part = (u + u.conj().T) / 2
     b_part = (u - u.conj().T) / 2j
-    a_vals, x = herm_eig(a_part)
+    a_vals, x = _herm_eig(a_part)
 
     # resolve A-degenerate subspaces with the compression of B
     cols: list[np.ndarray] = []

@@ -7,8 +7,10 @@ Given a unitary U whose numerical range misses 0, the planner
 2. targets the arc gap wider than π (the certificate that 0 is outside) and
    picks the one-hot weight vector and rotation direction that close that gap
    fastest at first order,
-3. scans and bisects t for the first time 0 enters W(U·V(t)^±), using the
-   support-function membership test, and
+3. steps t by the exact margin m(t) = widest arc gap − π of U·V(t)^±,
+   which is 1-Lipschitz because every eigenvalue turns at a speed in [0, 1],
+   so no step passes the first time 0 enters W(U·V(t)^±); once m < ``tol_t``
+   a probe at t + ``tol_t`` closes the bracket, and
 4. reports the minimal time together with the perturbation cost
    ‖1 − V(t*)‖∞ = 2·max_i |sin(p_i t*/2)|.
 """
@@ -20,21 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RELAXED_UNITARITY_TOL, EigenSystem, _unitary_eig, check_unitary
-from .numrange import (
-    ANGLES_DECISION,
-    INSIDE,
-    OUTSIDE,
-    contains_zero_general,
-    contains_zero_unitary,
-    widest_gap,
-)
+from .numrange import INSIDE, ON_BOUNDARY, OUTSIDE, contains_zero_unitary, widest_gap
 from .perturb import CCW, CW, PerturbationGenerator, angular_speeds, perturbed_unitary
 
-SCAN_POINTS = 256  # coarse grid resolution ahead of the bisection
+# margin evaluations per search; isolated d = 2 touches have needed fewer than 800
+MAX_MARGIN_EVALS = 100_000
 
 REACHED_INTERIOR = "reached_interior"
 REACHED_BOUNDARY = "reached_boundary"
 NOT_REACHED = "not_reached_within_horizon"
+_REACHED = {INSIDE: REACHED_INTERIOR, ON_BOUNDARY: REACHED_BOUNDARY}  # by gap-test verdict
 
 __all__ = [
     "REACHED_INTERIOR",
@@ -103,49 +100,51 @@ def select_generator(
 
 
 def min_time_search(
-    u: np.ndarray,
-    gen: PerturbationGenerator,
-    t_horizon: float,
-    tol_t: float,
-    n_angles: int = ANGLES_DECISION,
+    u: np.ndarray, gen: PerturbationGenerator, t_horizon: float, tol_t: float
 ) -> tuple[float | None, str]:
     """First time within the horizon at which 0 enters W(U·V(t)^±).
 
-    Coarse scan on a grid of step ``t_horizon/256``, then bisection of the
-    first sign change down to width ``tol_t``.  Returns ``(t_star, verdict)``
-    with ``t_star = None`` when the origin is never reached.
+    Returns ``(t_star, verdict)``: 0 lies in the range at ``t_star`` and is
+    certified outside it at every t < ``t_star − tol_t``; ``t_star = None``
+    when the certified steps cover the horizon.  Checks U at :func:`plan`'s
+    default tolerance first.
     """
+    return _min_time_search(check_unitary(u, tol=RELAXED_UNITARITY_TOL), gen, t_horizon, tol_t)
+
+
+def _min_time_search(
+    u: np.ndarray, gen: PerturbationGenerator, t_horizon: float, tol_t: float
+) -> tuple[float | None, str]:
+    """:func:`min_time_search` without the unitarity check."""
     if t_horizon <= 0:
         raise ValueError(f"t_horizon must be positive, got {t_horizon}")
     if tol_t <= 0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
 
-    def verdict_at(t: float) -> str:
-        return contains_zero_general(perturbed_unitary(u, gen, t), n_angles)
+    def margin_at(t: float) -> tuple[float, str]:
+        system = _unitary_eig(perturbed_unitary(u, gen, t))
+        return widest_gap(system)[0] - np.pi, contains_zero_unitary(system)
 
-    grid = np.linspace(0.0, t_horizon, SCAN_POINTS + 1)
-    hit = None
-    for k, t in enumerate(grid):
-        v = verdict_at(float(t))
-        if v != OUTSIDE:
-            hit = (k, v)
-            break
-    if hit is None:
-        return None, NOT_REACHED
-    k, v = hit
-    if k == 0:
-        return 0.0, REACHED_INTERIOR if v == INSIDE else REACHED_BOUNDARY
-
-    lo, hi = float(grid[k - 1]), float(grid[k])
-    hi_verdict = v
-    while hi - lo > tol_t:
-        mid = (lo + hi) / 2
-        v_mid = verdict_at(mid)
-        if v_mid == OUTSIDE:
-            lo = mid
-        else:
-            hi, hi_verdict = mid, v_mid
-    return hi, REACHED_INTERIOR if hi_verdict == INSIDE else REACHED_BOUNDARY
+    t, evals = 0.0, 0
+    while True:
+        margin, verdict = margin_at(t)
+        evals += 1
+        if verdict != OUTSIDE:
+            return t, _REACHED[verdict]
+        if t + margin > t_horizon:  # [t, t + margin) is certified outside
+            return None, NOT_REACHED
+        if margin < tol_t:
+            probe = min(t + tol_t, t_horizon)
+            _, verdict = margin_at(probe)
+            evals += 1
+            if verdict != OUTSIDE:
+                return probe, _REACHED[verdict]
+        if evals >= MAX_MARGIN_EVALS:
+            raise RuntimeError(
+                f"t* search gave up after {evals} margin evaluations "
+                f"at t = {t:.12g} with m(t) = {margin:.3e}"
+            )
+        t += margin
 
 
 def perturbation_cost(p: np.ndarray, t: float) -> float:
@@ -158,13 +157,12 @@ def plan(
     t_horizon: float = 2 * np.pi,
     tol_t: float = 1e-3,
     unitarity_tol: float = RELAXED_UNITARITY_TOL,
-    n_angles: int = ANGLES_DECISION,
 ) -> SteeringPlan:
     """Full pipeline: eigensystem → speed profile → generator → minimal time."""
     u = check_unitary(u, tol=unitarity_tol)
     system = _unitary_eig(u)
     gen, gap = select_generator(system, speed_profile(system))
-    t_star, verdict = min_time_search(u, gen, t_horizon, tol_t, n_angles=n_angles)
+    t_star, verdict = _min_time_search(u, gen, t_horizon, tol_t)
     norm = perturbation_cost(gen.p, t_star) if t_star is not None else None
     return SteeringPlan(
         p=gen.p,

@@ -90,6 +90,7 @@ class TestSteerCommand:
         assert 1.40 <= report["plan"]["t_star"] <= 1.50
         assert report["plan"]["verdict"] in ("reached_interior", "reached_boundary")
         assert report["input"]["sha256"]
+        assert set(report["settings"]) == {"horizon", "tol_t", "unitarity_tol"}
 
     def test_nothing_to_steer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "roots.json"

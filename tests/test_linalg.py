@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nrsteer import demo
 from nrsteer.linalg import (
     BranchCutWarning,
+    EigendecompositionError,
     ZeroPerturbationError,
     check_hermitian,
     check_unitary,
@@ -79,6 +80,14 @@ class TestHermEig:
 
 
 class TestUnitaryEig:
+    def test_solver_failure_raises(self, monkeypatch):
+        def no_convergence(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(EigendecompositionError, match="did not converge"):
+            unitary_eig(haar_unitary(3, 0))
+
     def test_identity_single_cluster(self):
         system = unitary_eig(np.eye(2, dtype=complex))
         assert system.groups == ((0, 1),)

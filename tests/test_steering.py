@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrsteer import demo
+from nrsteer import demo, steering
 from nrsteer.linalg import schatten_inf, unitary_eig
-from nrsteer.numrange import BOUNDARY_WITHIN_TOL, INSIDE, OUTSIDE, contains_zero_general
+from nrsteer.numrange import (
+    BOUNDARY_GAP_TOL,
+    BOUNDARY_WITHIN_TOL,
+    INSIDE,
+    OUTSIDE,
+    contains_zero_general,
+)
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary, track_trajectory
 from nrsteer.steering import (
     NOT_REACHED,
@@ -21,6 +27,19 @@ from nrsteer.steering import (
 from nrsteer.testkit import haar_unitary
 
 DEMO_SYSTEM = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4)
+
+
+def exact_margin(u, gen, t):
+    """Widest arc gap of U·V(t) minus π, from numpy's nonsymmetric eigensolver."""
+    args = np.sort(np.angle(np.linalg.eigvals(perturbed_unitary(u, gen, t))))
+    return float(np.diff(np.append(args, args[0] + 2 * np.pi)).max() - np.pi)
+
+
+def conditioned_unitary(d, seed):
+    """Haar eigenbasis with eigenvalue angles in an arc of width 2.4 < π."""
+    rng = np.random.default_rng(seed)
+    x = haar_unitary(d, rng)
+    return (x * np.exp(1j * rng.uniform(-1.2, 1.2, d))) @ x.conj().T
 
 
 class TestSpeedProfile:
@@ -83,12 +102,11 @@ class TestMinTimeSearch:
 
     def test_hand_derived_quarter_circle(self):
         # eigenvalues at 1 (parked) and i moving ccw at unit speed: the wide
-        # gap closes to pi when the mover reaches -1, i.e. at t = pi/2; the
-        # angle grid limits the detection to ~2pi/2048 per the design notes
+        # gap closes to pi when the mover reaches -1, i.e. at t = pi/2
         u = np.diag([1.0, np.exp(1j * np.pi / 2)])
         gen = PerturbationGenerator(p=np.array([0.0, 1.0]), direction="ccw")
         t_star, verdict = min_time_search(u, gen, 2 * np.pi, 1e-4)
-        assert abs(t_star - np.pi / 2) < 5e-3
+        assert abs(t_star - np.pi / 2) <= 1e-4
         assert verdict == REACHED_BOUNDARY
 
     def test_unreachable_within_horizon(self):
@@ -104,6 +122,13 @@ class TestMinTimeSearch:
             min_time_search(np.eye(2, dtype=complex), gen, 0.0, 1e-3)
         with pytest.raises(ValueError):
             min_time_search(np.eye(2, dtype=complex), gen, 1.0, 0.0)
+
+    def test_evaluation_cap_raises(self, monkeypatch):
+        # the demo search needs more than two margin evaluations
+        monkeypatch.setattr(steering, "MAX_MARGIN_EVALS", 2)
+        gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
+        with pytest.raises(RuntimeError, match=r"at t = .* with m\(t\) = "):
+            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
 
 
 class TestPerturbationCost:
@@ -145,20 +170,52 @@ class TestPlan:
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="not unitary"):
             track_trajectory(u, gen, t_end=1.0, unitarity_tol=1e-4)
+        with pytest.raises(ValueError, match="not unitary"):
+            min_time_search(u, gen, 1.0, 1e-3)
 
     def test_hand_case_consistent(self):
         result = plan(np.diag([1.0, np.exp(1j * np.pi / 2)]), tol_t=1e-4)
-        assert abs(result.t_star - np.pi / 2) < 5e-3
+        assert abs(result.t_star - np.pi / 2) <= 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_d2_closed_form_touch(self, seed):
+        # for 2×2 U and one-hot e_i, tr(U·V(t)) = u_ii·e^{±it} + u_jj with
+        # |u_ii| = |u_jj|, so the origin touches W exactly when the trace
+        # vanishes: at T = ±arg(−u_jj/u_ii) mod 2π
+        u = haar_unitary(2, seed)
+        tol_t = 1e-3
+        result = plan(u, tol_t=tol_t)
+        i = int(np.argmax(result.p))
+        sign = 1.0 if result.direction == "ccw" else -1.0
+        touch = (sign * np.angle(-u[1 - i, 1 - i] / u[i, i])) % (2 * np.pi)
+        # the gap test calls a margin within BOUNDARY_GAP_TOL a boundary hit,
+        # which margin steps reach from below, a few 1e-10 ahead of T
+        assert touch - 1e-8 <= result.t_star <= touch + tol_t
+        assert result.verdict == REACHED_BOUNDARY
+        gen = PerturbationGenerator(p=result.p, direction=result.direction)
+        assert abs(np.trace(perturbed_unitary(u, gen, result.t_star))) <= 1e-9
 
     def test_first_touch_consistency(self):
-        result = plan(demo.DEMO_MATRIX, tol_t=1e-3)
-        gen = PerturbationGenerator(p=result.p, direction=result.direction)
-        at_star = contains_zero_general(perturbed_unitary(demo.DEMO_MATRIX, gen, result.t_star))
-        before = contains_zero_general(
-            perturbed_unitary(demo.DEMO_MATRIX, gen, result.t_star - 10 * 1e-3)
-        )
-        assert at_star in (INSIDE, BOUNDARY_WITHIN_TOL)
-        assert before == OUTSIDE
+        tol_t = 1e-3
+        for u in (demo.DEMO_MATRIX, conditioned_unitary(16, 1)):
+            result = plan(u, tol_t=tol_t)
+            gen = PerturbationGenerator(p=result.p, direction=result.direction)
+            at_star = contains_zero_general(perturbed_unitary(u, gen, result.t_star))
+            assert at_star in (INSIDE, BOUNDARY_WITHIN_TOL)
+            assert exact_margin(u, gen, result.t_star) <= BOUNDARY_GAP_TOL
+            # margin steps (the margin is 1-Lipschitz) certify every earlier
+            # time up to t* − tol_t outside
+            t = 0.0
+            for _ in range(10_000):
+                if t >= result.t_star - tol_t:
+                    break
+                margin = exact_margin(u, gen, t)
+                assert margin > BOUNDARY_GAP_TOL, f"touch at t = {t} before t* = {result.t_star}"
+                t += margin
+            else:
+                pytest.fail(f"margin steps stalled at t = {t}")
+            before = contains_zero_general(perturbed_unitary(u, gen, result.t_star - 10 * tol_t))
+            assert before == OUTSIDE
 
     def test_targeted_gap_closes_monotonically(self):
         result = plan(demo.DEMO_MATRIX)
