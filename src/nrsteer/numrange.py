@@ -6,7 +6,12 @@ Two complementary routes:
   so membership of the origin reduces to an angular gap test on the
   eigenvalues;
 * arbitrary complex matrices: a support-function sweep
-  h(θ) = λ_max((e^{−iθ}A + e^{iθ}A†)/2) sampled on a uniform angle grid.
+  h(θ) = λ_max(H(θ)), H(θ) = (e^{−iθ}A + e^{iθ}A†)/2 = cos θ·H₁ + sin θ·H₂,
+  sampled on the uniform grid θ_k = 2πk/n.  Since H(θ+π) = −H(θ), one
+  eigensolve at θ also gives h(θ+π) = −λ_min(H(θ)), so on an even grid only
+  the angles in [0, π) are solved.  The angles are solved in blocks of at
+  most ``SWEEP_BLOCK_BYTES`` of Hermitian stack, so memory stays bounded as
+  d and n grow.
 
 The two routes deliberately do not share eigendecomposition results, so one
 can serve as an oracle for the other.
@@ -24,6 +29,7 @@ ANGLES_DISPLAY = 720    # default sweep resolution for figures
 ANGLES_DECISION = 2048  # default sweep resolution for membership decisions
 MEMBERSHIP_REL_TOL = 1e-9
 BOUNDARY_GAP_TOL = 1e-10
+SWEEP_BLOCK_BYTES = 4 * 2**20  # bytes of Hermitian stack per batched eigensolve
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -71,13 +77,6 @@ class RangePolygon:
     vertices: np.ndarray
 
 
-def _rotated_hermitian_parts(a: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Stack of (e^{−iθ}A + e^{iθ}A†)/2 for every θ, shape (n, d, d)."""
-    phases = np.exp(-1j * angles)
-    stack = phases[:, None, None] * a[None, :, :]
-    return (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2
-
-
 def support_function(a: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
     """Support value h(θ) of W(A) and the witness unit vector attaining it."""
     a = as_complex_matrix(a)
@@ -86,26 +85,62 @@ def support_function(a: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
     return float(w[-1]), x[:, -1]
 
 
-def support_values(a: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and h(θ) over a uniform grid of [0, 2π), batched eigensolve."""
+def _angles_per_block(d: int) -> int:
+    """Angles whose d×d complex Hermitian matrices fit in ``SWEEP_BLOCK_BYTES``."""
+    return max(1, SWEEP_BLOCK_BYTES // (16 * d * d))
+
+
+def _support_sweep(
+    a: np.ndarray, n_angles: int, witnesses: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Angles, h(θ) and (when ``witnesses``) boundary points on the uniform grid.
+
+    On an even grid θ_{k+n/2} = θ_k + π, so the first n/2 angles are solved
+    and the rest read λ_min and the bottom eigenvector; an odd grid has no
+    antipodal pairs and every angle is solved for λ_max alone.
+    """
     if n_angles < 16:
         raise ValueError(f"need at least 16 angles, got {n_angles}")
     a = as_complex_matrix(a)
     angles = np.arange(n_angles) * (2 * np.pi / n_angles)
-    h = np.linalg.eigvalsh(_rotated_hermitian_parts(a, angles))[:, -1]
+    solved = n_angles // 2 if n_angles % 2 == 0 else n_angles
+    mirror = solved < n_angles
+    herm_re = (a + a.conj().T) / 2
+    herm_im = (a - a.conj().T) / 2j
+    h = np.empty(n_angles)
+    points = np.empty(n_angles, dtype=np.complex128) if witnesses else None
+    step = _angles_per_block(a.shape[0])
+    for lo in range(0, solved, step):
+        hi = min(lo + step, solved)
+        theta = angles[lo:hi, None, None]
+        stack = np.cos(theta) * herm_re + np.sin(theta) * herm_im
+        if witnesses:
+            w, x = np.linalg.eigh(stack)
+            points[lo:hi] = _rayleigh(a, x[:, :, -1])
+            if mirror:
+                points[lo + solved : hi + solved] = _rayleigh(a, x[:, :, 0])
+        else:
+            w = np.linalg.eigvalsh(stack)
+        h[lo:hi] = w[:, -1]
+        if mirror:
+            h[lo + solved : hi + solved] = -w[:, 0]
+    return angles, h, points
+
+
+def _rayleigh(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x†Ax for each row x of ``x``."""
+    return (x.conj() * (x @ a.T)).sum(axis=1)
+
+
+def support_values(a: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and h(θ) over a uniform grid of [0, 2π), blocked half-circle sweep."""
+    angles, h, _ = _support_sweep(a, n_angles, witnesses=False)
     return angles, h
 
 
 def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportProfile:
-    """Full boundary sweep with witnesses (slower than :func:`support_values`)."""
-    if n_angles < 16:
-        raise ValueError(f"need at least 16 angles, got {n_angles}")
-    a = as_complex_matrix(a)
-    angles = np.arange(n_angles) * (2 * np.pi / n_angles)
-    w, x = np.linalg.eigh(_rotated_hermitian_parts(a, angles))
-    h = w[:, -1]
-    top = x[:, :, -1]
-    points = np.einsum("ni,ij,nj->n", top.conj(), a, top)
+    """Full boundary sweep with witnesses: :func:`support_values` plus eigenvectors."""
+    angles, h, points = _support_sweep(a, n_angles, witnesses=True)
     return SupportProfile(angles=angles, support_values=h, boundary_points=points)
 
 

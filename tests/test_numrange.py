@@ -18,14 +18,45 @@ from nrsteer.numrange import (
     support_values,
     unitary_range_polygon,
     widest_gap,
+    _angles_per_block,
 )
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary
-from nrsteer.testkit import haar_unitary
+from nrsteer.testkit import brute_membership, haar_unitary
 
 
 def demo_pushed(t=1.5):
     gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
     return perturbed_unitary(demo.DEMO_MATRIX, gen, t)
+
+
+def ginibre(rng, d):
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
+
+
+def sweep_input(kind, d, seed):
+    """A seeded non-normal, normal or Hermitian d×d matrix."""
+    rng = np.random.default_rng(seed)
+    g = ginibre(rng, d)
+    if kind == "non-normal":
+        return g
+    if kind == "hermitian":
+        return (g + g.conj().T) / 2
+    q = haar_unitary(d, rng)
+    return q @ np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)) @ q.conj().T
+
+
+def known_membership(d, answer, seed):
+    """Non-normal matrix whose answer to "is 0 in W(A)?" is known.
+
+    inside: traceless, so tr(A)/d = 0 lies in W(A).  outside: R + c·e^{iφ}·I
+    with c > ‖R‖, so W(A) lies in a disc around c·e^{iφ} that misses 0.
+    """
+    rng = np.random.default_rng(seed)
+    g = ginibre(rng, d)
+    if answer == INSIDE:
+        return g - (np.trace(g) / d) * np.eye(d)
+    r = g / schatten_inf(g)
+    return r + rng.uniform(1.2, 1.6) * np.exp(1j * rng.uniform(-np.pi, np.pi)) * np.eye(d)
 
 
 class TestSupportFunction:
@@ -96,6 +127,32 @@ class TestSupportProfile:
     def test_minimum_angles_enforced(self):
         with pytest.raises(ValueError):
             support_values(np.eye(2, dtype=complex), 8)
+
+
+class TestSupportSweep:
+    """Batched sweeps against the per-angle :func:`support_function`."""
+
+    def check_against_per_angle(self, a, n):
+        scale = schatten_inf(a)
+        angles, h = support_values(a, n)
+        profile = support_profile(a, n)
+        assert np.array_equal(angles, np.arange(n) * (2 * np.pi / n))
+        assert np.array_equal(profile.angles, angles)
+        reference = np.array([support_function(a, theta)[0] for theta in angles])
+        assert np.abs(h - reference).max() <= 1e-12 * scale
+        assert np.abs(profile.support_values - reference).max() <= 1e-12 * scale
+        attained = np.real(np.exp(-1j * angles) * profile.boundary_points)
+        assert np.abs(attained - profile.support_values).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [16, 17, 720])
+    @pytest.mark.parametrize("kind", ["non-normal", "normal", "hermitian"])
+    def test_matches_per_angle(self, kind, n):
+        self.check_against_per_angle(sweep_input(kind, 5, seed=n), n)
+
+    def test_block_seams(self):
+        # 720 angles at d = 64 solve 360 matrices, several blocks' worth
+        assert 360 > 2 * _angles_per_block(64)
+        self.check_against_per_angle(sweep_input("non-normal", 64, seed=3), 720)
 
 
 class TestUnitaryPolygon:
@@ -170,6 +227,14 @@ class TestContainsZeroGeneral:
         if gap == ON_BOUNDARY or sweep == BOUNDARY_WITHIN_TOL:
             return
         assert gap == sweep
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("answer", [INSIDE, OUTSIDE])
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_agrees_with_brute_membership(self, d, answer, seed):
+        a = known_membership(d, answer, seed)
+        assert contains_zero_general(a) == answer
+        assert brute_membership(a) == answer
 
 
 class TestDistanceToZero:
