@@ -30,11 +30,13 @@ from .linalg import (  # noqa: E402
     unitary_exp_herm,
 )
 from .numrange import (  # noqa: E402
+    OriginVerdict,
     RangePolygon,
     SupportProfile,
     contains_zero_general,
     contains_zero_unitary,
     distance_to_zero,
+    origin_verdict,
     support_function,
     support_profile,
     support_values,

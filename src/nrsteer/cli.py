@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-``range``       boundary sweep of W(A) → boundary.csv + range.svg
+``range``       boundary sweep of W(A) → boundary.csv + range.svg, certified origin verdict
 ``steer``       full steering plan for a unitary matrix → report.json
 ``trajectory``  tracked eigenvalue paths of U·V(t) → trajectory.csv
 ``verify``      seeded property suite of the perturbation rules
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import demo, iofmt
 from .linalg import RELAXED_UNITARITY_TOL, _unitary_eig, schatten_inf, unitary_eig
-from .numrange import INSIDE, contains_zero_general, support_profile
+from .numrange import INSIDE, origin_verdict, support_profile
 from .perturb import (
     DIRECTIONS,
     PerturbationGenerator,
@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_range = sub.add_parser("range", help="numerical-range boundary sweep and figure")
     add_input_opts(p_range)
     add_out_dir(p_range)
-    p_range.add_argument("--angles", type=int, default=720, help="sweep resolution")
+    p_range.add_argument(
+        "--angles", type=int, default=720, help="sweep resolution of the figure and the verdict"
+    )
     p_range.set_defaults(func=_cmd_range)
 
     p_steer = sub.add_parser("steer", help="steer the range over the origin")
@@ -181,8 +183,12 @@ def _cmd_range(args) -> int:
         eigenvalues=_maybe_eigenvalues(matrix),
         title=f"numerical range ({os.path.basename(args.input)})",
     )
-    verdict = contains_zero_general(matrix, n_angles=max(args.angles, 2048))
-    print(f"origin verdict: {verdict}")
+    certificate = origin_verdict(matrix, profile)
+    print(f"origin verdict: {certificate.verdict}")
+    print(
+        f"origin bracket: min h in [{certificate.lower:.6e}, {certificate.upper:.6e}] "
+        f"over {certificate.n_angles} angles"
+    )
     print(f"wrote {out}/boundary.csv and {out}/range.svg")
     return EXIT_OK
 
@@ -288,7 +294,8 @@ def _cmd_example(args) -> int:
 
     gen = PerturbationGenerator(p=result.p, direction=result.direction)
     pushed = perturbed_unitary(matrix, gen, demo.REFERENCE_PUSH_T)
-    inside_ok = contains_zero_general(pushed) == INSIDE
+    pushed_profile = support_profile(pushed, n_angles=720)
+    inside_ok = origin_verdict(pushed, pushed_profile).verdict == INSIDE
     checks.append(("origin-inside-after-push", inside_ok, f"t={demo.REFERENCE_PUSH_T}"))
 
     if result.t_star is not None:
@@ -308,7 +315,6 @@ def _cmd_example(args) -> int:
         eigenvalues=system.values,
         title="numerical range: demonstration matrix",
     )
-    pushed_profile = support_profile(pushed, n_angles=720)
     iofmt.write_range_csv(os.path.join(out, "range_perturbed.csv"), pushed_profile)
     iofmt.render_range_svg(
         os.path.join(out, "range_perturbed.svg"),

@@ -11,7 +11,10 @@ Two complementary routes:
   eigensolve at θ also gives h(θ+π) = −λ_min(H(θ)), so on an even grid only
   the angles in [0, π) are solved.  The angles are solved in blocks of at
   most ``SWEEP_BLOCK_BYTES`` of Hermitian stack, so memory stays bounded as
-  d and n grow.
+  d and n grow.  The origin verdict is certified from such a sweep: the
+  solved values bound min h from above, the chords between neighbouring
+  witness points bound it from below, and the cells that keep the bracket
+  from deciding are bisected (:func:`origin_verdict`).
 
 The two routes deliberately do not share eigendecomposition results, so one
 can serve as an oracle for the other.
@@ -26,10 +29,11 @@ import numpy as np
 from .linalg import EigenSystem, as_complex_matrix, herm_eig, principal_args, schatten_inf
 
 ANGLES_DISPLAY = 720    # default sweep resolution for figures
-ANGLES_DECISION = 2048  # default sweep resolution for membership decisions
+ANGLES_DECISION = 2048  # default sweep resolution of distance_to_zero
 MEMBERSHIP_REL_TOL = 1e-9
 BOUNDARY_GAP_TOL = 1e-10
 SWEEP_BLOCK_BYTES = 4 * 2**20  # bytes of Hermitian stack per batched eigensolve
+MAX_REFINED_ANGLES = 4096  # angles origin_verdict may add to a profile's grid
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -44,6 +48,7 @@ __all__ = [
     "ON_BOUNDARY",
     "BOUNDARY_WITHIN_TOL",
     "SupportProfile",
+    "OriginVerdict",
     "RangePolygon",
     "support_function",
     "support_values",
@@ -51,6 +56,7 @@ __all__ = [
     "unitary_range_polygon",
     "widest_gap",
     "contains_zero_unitary",
+    "origin_verdict",
     "contains_zero_general",
     "distance_to_zero",
 ]
@@ -68,6 +74,22 @@ class SupportProfile:
     angles: np.ndarray
     support_values: np.ndarray
     boundary_points: np.ndarray
+
+
+@dataclass(frozen=True)
+class OriginVerdict:
+    """Certified answer to "is 0 in W(A)?" with the bracket behind it.
+
+    ``lower`` ≤ min h ≤ ``upper``; ``upper`` is h(``angle``), the smallest
+    solved support value.  ``n_angles`` counts the solved angles: the
+    profile's grid plus those added by refinement.
+    """
+
+    verdict: str
+    lower: float
+    upper: float
+    angle: float
+    n_angles: int
 
 
 @dataclass(frozen=True)
@@ -90,6 +112,30 @@ def _angles_per_block(d: int) -> int:
     return max(1, SWEEP_BLOCK_BYTES // (16 * d * d))
 
 
+def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H₁ = (A + A†)/2 and H₂ = (A − A†)/(2i), so that H(θ) = cos θ·H₁ + sin θ·H₂."""
+    return (a + a.conj().T) / 2, (a - a.conj().T) / 2j
+
+
+def _eigh_blocks(parts, theta: np.ndarray, vectors: bool):
+    """Eigendecompose H(θ) for each θ in ``theta``, in blocks of at most ``SWEEP_BLOCK_BYTES``.
+
+    Yields ``(rows, w, x)``: the slice of ``theta`` solved, the ascending
+    eigenvalues and (when ``vectors``) the eigenvectors, else ``None``.
+    """
+    herm_re, herm_im = parts
+    step = _angles_per_block(herm_re.shape[0])
+    for lo in range(0, len(theta), step):
+        rows = slice(lo, min(lo + step, len(theta)))
+        t = theta[rows, None, None]
+        stack = np.cos(t) * herm_re + np.sin(t) * herm_im
+        if vectors:
+            w, x = np.linalg.eigh(stack)
+        else:
+            w, x = np.linalg.eigvalsh(stack), None
+        yield rows, w, x
+
+
 def _support_sweep(
     a: np.ndarray, n_angles: int, witnesses: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -105,25 +151,17 @@ def _support_sweep(
     angles = np.arange(n_angles) * (2 * np.pi / n_angles)
     solved = n_angles // 2 if n_angles % 2 == 0 else n_angles
     mirror = solved < n_angles
-    herm_re = (a + a.conj().T) / 2
-    herm_im = (a - a.conj().T) / 2j
     h = np.empty(n_angles)
     points = np.empty(n_angles, dtype=np.complex128) if witnesses else None
-    step = _angles_per_block(a.shape[0])
-    for lo in range(0, solved, step):
-        hi = min(lo + step, solved)
-        theta = angles[lo:hi, None, None]
-        stack = np.cos(theta) * herm_re + np.sin(theta) * herm_im
+    for rows, w, x in _eigh_blocks(_hermitian_parts(a), angles[:solved], witnesses):
+        h[rows] = w[:, -1]
         if witnesses:
-            w, x = np.linalg.eigh(stack)
-            points[lo:hi] = _rayleigh(a, x[:, :, -1])
-            if mirror:
-                points[lo + solved : hi + solved] = _rayleigh(a, x[:, :, 0])
-        else:
-            w = np.linalg.eigvalsh(stack)
-        h[lo:hi] = w[:, -1]
+            points[rows] = _rayleigh(a, x[:, :, -1])
         if mirror:
-            h[lo + solved : hi + solved] = -w[:, 0]
+            far = slice(rows.start + solved, rows.stop + solved)
+            h[far] = -w[:, 0]
+            if witnesses:
+                points[far] = _rayleigh(a, x[:, :, 0])
     return angles, h, points
 
 
@@ -179,17 +217,91 @@ def contains_zero_unitary(system: EigenSystem, gap_tol: float = BOUNDARY_GAP_TOL
     return OUTSIDE if gap > np.pi else INSIDE
 
 
-def contains_zero_general(a: np.ndarray, n_angles: int = ANGLES_DECISION) -> str:
-    """Membership of 0 in W(A) by the sampled support-function sign test."""
-    a = as_complex_matrix(a)
-    _, h = support_values(a, n_angles)
-    h_min = float(h.min())
-    tol = MEMBERSHIP_REL_TOL * max(schatten_inf(a), 1e-300)
-    if h_min < -tol:
+def _cell_lower_bounds(angles: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Lower bound on h over each cell [θ_k, θ_{k+1}] of the sorted angle cycle.
+
+    Both witnesses z_k, z_{k+1} lie in W(A), so h(θ) ≥ g(θ) =
+    max(Re e^{−iθ}z_k, Re e^{−iθ}z_{k+1}) on the cell.  g is the larger of
+    two sinusoids, so its minimum over the cell lies at a cell end, where
+    the two cross (θ = arg(z_k − z_{k+1}) ± π/2), or at the trough
+    θ = arg z + π of either; g is evaluated at each of those in the cell.
+    """
+    lo = angles
+    hi = np.append(angles[1:], angles[0] + 2 * np.pi)
+    z0, z1 = points, np.roll(points, -1)
+    cross = np.angle(z0 - z1)
+    turns = np.stack(
+        [cross + np.pi / 2, cross - np.pi / 2, np.angle(z0) + np.pi, np.angle(z1) + np.pi], axis=1
+    )
+    turns = lo[:, None] + np.mod(turns - lo[:, None], 2 * np.pi)
+    turns = np.where(turns <= hi[:, None], turns, lo[:, None])
+    theta = np.concatenate([lo[:, None], hi[:, None], turns], axis=1)
+    phase = np.exp(-1j * theta)
+    g = np.maximum((phase * z0[:, None]).real, (phase * z1[:, None]).real)
+    return g.min(axis=1)
+
+
+def _bracket_verdict(lower: float, upper: float, tol: float) -> str | None:
+    """The verdict that lower ≤ min h ≤ upper certifies, or ``None``."""
+    if upper < -tol:
         return OUTSIDE
-    if h_min > tol:
+    if lower > tol:
         return INSIDE
-    return BOUNDARY_WITHIN_TOL
+    if lower >= -tol and upper <= tol:
+        return BOUNDARY_WITHIN_TOL
+    return None
+
+
+def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
+    """Certified membership of 0 in W(A), read from ``profile = support_profile(a, n)``.
+
+    The solved angles bound min h from above (``upper``) and the witness
+    chords of :func:`_cell_lower_bounds` bound it from below (``lower``), as
+    in the inner/outer approximation of C. R. Johnson, SIAM J. Numer. Anal.
+    15 (1978).  With tol = ``MEMBERSHIP_REL_TOL``·‖A‖ the verdict is
+    ``outside`` when upper < −tol, ``inside`` when lower > tol and
+    ``boundary_within_tol`` when both lie in [−tol, tol].  Otherwise the cells
+    that block a decision are bisected, their midpoints solved in one batch,
+    and the bracket recomputed; more than ``MAX_REFINED_ANGLES`` added angles
+    raise ``RuntimeError``.  ``profile`` is not modified.
+    """
+    a = as_complex_matrix(a)
+    tol = MEMBERSHIP_REL_TOL * max(schatten_inf(a), 1e-300)
+    angles, h, points = profile.angles, profile.support_values, profile.boundary_points
+    parts = _hermitian_parts(a)
+    while True:
+        cell_lower = _cell_lower_bounds(angles, points)
+        k = int(np.argmin(h))
+        lower, upper = float(cell_lower.min()), float(h[k])
+        verdict = _bracket_verdict(lower, upper, tol)
+        if verdict is not None:
+            return OriginVerdict(verdict, lower, upper, float(angles[k]), len(angles))
+        # above tol only `inside` is left, which needs every cell bound > tol;
+        # otherwise `boundary_within_tol` needs every cell bound ≥ −tol
+        cells = np.flatnonzero(cell_lower <= tol if upper > tol else cell_lower < -tol)
+        refined = len(angles) - len(profile.angles)
+        # a non-finite bracket selects no cell and would never decide
+        if not len(cells) or refined + len(cells) > MAX_REFINED_ANGLES:
+            raise RuntimeError(
+                f"origin verdict undecided after {refined} refined angles: "
+                f"min h in [{lower:.3e}, {upper:.3e}] with tol {tol:.1e}"
+            )
+        ends = np.append(angles[1:], angles[0] + 2 * np.pi)
+        mids = np.mod((angles[cells] + ends[cells]) / 2, 2 * np.pi)
+        mid_h = np.empty(len(mids))
+        mid_points = np.empty(len(mids), dtype=np.complex128)
+        for rows, w, x in _eigh_blocks(parts, mids, vectors=True):
+            mid_h[rows] = w[:, -1]
+            mid_points[rows] = _rayleigh(a, x[:, :, -1])
+        order = np.argsort(np.concatenate([angles, mids]), kind="stable")
+        angles = np.concatenate([angles, mids])[order]
+        h = np.concatenate([h, mid_h])[order]
+        points = np.concatenate([points, mid_points])[order]
+
+
+def contains_zero_general(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> str:
+    """Certified membership of 0 in W(A): :func:`origin_verdict` on an ``n_angles`` profile."""
+    return origin_verdict(a, support_profile(a, n_angles)).verdict
 
 
 def distance_to_zero(a: np.ndarray, n_angles: int = ANGLES_DECISION) -> float:

@@ -2,23 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from nrsteer import demo
+from nrsteer import cli, demo, iofmt, numrange
 from nrsteer.linalg import schatten_inf, unitary_eig
 from nrsteer.numrange import (
     BOUNDARY_WITHIN_TOL,
     INSIDE,
+    MEMBERSHIP_REL_TOL,
     ON_BOUNDARY,
     OUTSIDE,
+    SupportProfile,
     contains_zero_general,
     contains_zero_unitary,
     distance_to_zero,
+    origin_verdict,
     support_function,
     support_profile,
     support_values,
     unitary_range_polygon,
     widest_gap,
     _angles_per_block,
+    _cell_lower_bounds,
 )
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary
 from nrsteer.testkit import brute_membership, haar_unitary
@@ -235,6 +240,151 @@ class TestContainsZeroGeneral:
         a = known_membership(d, answer, seed)
         assert contains_zero_general(a) == answer
         assert brute_membership(a) == answer
+
+
+def eigvalsh_support(a, theta):
+    """h(θ) by a direct eigvalsh of (e^{−iθ}A + e^{iθ}A†)/2, independent of the sweeps."""
+    herm = (np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T) / 2
+    return float(np.linalg.eigvalsh(herm)[-1])
+
+
+def shifted_to_margin(seed, margin):
+    """A d = 5 non-normal matrix shifted so that min h = ``margin``·‖A‖.
+
+    The argmin θ* of h is found on a dense odd grid and polished by a bounded
+    scalar search; shifting A by c·e^{iθ*}·I adds c·cos(θ − θ*) to h, which
+    keeps θ* a critical point and moves h(θ*) to the target.
+    """
+    g = ginibre(np.random.default_rng(seed), 5)
+    angles, h = support_values(g, 20_001)
+    k = int(np.argmin(h))
+    polished = minimize_scalar(
+        lambda t: eigvalsh_support(g, t),
+        bounds=(angles[k] - 4e-4, angles[k] + 4e-4),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    shift = margin * schatten_inf(g) - polished.fun
+    return g + shift * np.exp(1j * polished.x) * np.eye(5)
+
+
+def assert_certified(a, result):
+    """The verdict is the one its bracket certifies (see ``origin_verdict``)."""
+    scale = schatten_inf(a)
+    tol = MEMBERSHIP_REL_TOL * scale
+    assert result.lower <= result.upper
+    assert result.upper == pytest.approx(eigvalsh_support(a, result.angle), abs=1e-12 * scale)
+    if result.verdict == OUTSIDE:
+        assert eigvalsh_support(a, result.angle) < -tol
+    elif result.verdict == INSIDE:
+        assert result.lower > tol
+    else:
+        assert result.verdict == BOUNDARY_WITHIN_TOL
+        assert -tol <= result.lower and result.upper <= tol
+
+
+class TestOriginVerdict:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cell_bounds_match_dense_minimum(self, seed):
+        # any points will do: the bound is the minimum over each cell of the
+        # larger of the two neighbouring sinusoids, wherever it falls
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.uniform(0, 2 * np.pi, 40))
+        points = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        bounds = _cell_lower_bounds(angles, points)
+        ends = np.append(angles[1:], angles[0] + 2 * np.pi)
+        for k in range(40):
+            theta = np.linspace(angles[k], ends[k], 4001)
+            phase = np.exp(-1j * theta)
+            g = np.maximum((phase * points[k]).real, (phase * points[(k + 1) % 40]).real)
+            # g moves by at most |z|·(cell width)/4000 between dense samples
+            slack = np.abs(points).max() * (ends[k] - angles[k]) / 4000
+            assert g.min() - slack <= bounds[k] <= g.min() + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_miss_outside(self, seed):
+        # 0 lies 1e-6·‖A‖ outside W(A), but every sample of the old
+        # 2048-angle sign test has h > tol, so that test answered `inside`
+        a = shifted_to_margin(seed, -1e-6)
+        tol = MEMBERSHIP_REL_TOL * schatten_inf(a)
+        assert support_values(a, 2048)[1].min() > tol
+        result = origin_verdict(a, support_profile(a))
+        assert result.verdict == OUTSIDE
+        assert result.n_angles > numrange.ANGLES_DISPLAY
+        assert_certified(a, result)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_margin_within_tol(self, seed):
+        a = shifted_to_margin(seed, 0.0)
+        result = origin_verdict(a, support_profile(a))
+        assert result.verdict == BOUNDARY_WITHIN_TOL
+        assert_certified(a, result)
+
+    @pytest.mark.parametrize("n", [17, 721])
+    def test_segment_on_odd_grid(self, n):
+        # no grid angle hits the normal π/2 of the segment [−1, 1]; bisection must reach it
+        segment = np.diag([1.0, -1.0]).astype(complex)
+        result = origin_verdict(segment, support_profile(segment, n))
+        assert result.verdict == BOUNDARY_WITHIN_TOL
+        assert result.n_angles > n
+        assert_certified(segment, result)
+
+    def test_refinement_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numrange, "MAX_REFINED_ANGLES", 0)
+        segment = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(RuntimeError, match=r"min h in \["):
+            origin_verdict(segment, support_profile(segment, 17))
+
+    def test_non_finite_profile_raises(self):
+        # a NaN bracket selects no cell to bisect; it must not loop forever
+        segment = np.diag([1.0, -1.0]).astype(complex)
+        profile = support_profile(segment, 17)
+        broken = SupportProfile(
+            profile.angles, np.full_like(profile.support_values, np.nan), profile.boundary_points
+        )
+        with pytest.raises(RuntimeError, match="undecided"):
+            origin_verdict(segment, broken)
+
+    @pytest.mark.parametrize(
+        "kind", ["non-normal-0", "non-normal-1", "non-normal-2", "point", "triangle"]
+    )
+    @pytest.mark.parametrize("n", [16, 17, 720])
+    def test_lower_bound_below_dense_minimum(self, n, kind):
+        # a point or a triangle missing 0 has min h at a corner of W(A), where
+        # the chord bound bottoms out at a trough arg z + π inside a cell
+        if kind == "point":
+            a = np.exp(1j) * np.eye(3)
+        elif kind == "triangle":
+            a = np.diag([1 + 1j, 2, 1.5 + 2j])
+        else:
+            a = ginibre(np.random.default_rng(int(kind[-1])), 6)
+        profile = support_profile(a, n)
+        result = origin_verdict(a, profile)
+        dense_min = support_values(a, 65536)[1].min()
+        # L is a minimum of chord bounds; 1e-12·‖A‖ absorbs eigensolver rounding
+        assert result.lower <= dense_min + 1e-12 * schatten_inf(a)
+        assert_certified(a, result)
+
+    @pytest.mark.parametrize("n", [16, 17, 720])
+    def test_range_command_uses_the_profile(self, tmp_path, capsys, n):
+        a = ginibre(np.random.default_rng(n), 6)
+        path = tmp_path / "a.json"
+        iofmt.write_matrix(path, a)
+        out = tmp_path / "out"
+        argv = ["range", "--input", str(path), "--angles", str(n), "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        matrix, _ = iofmt.read_matrix(path)
+        profile = support_profile(matrix, n)
+        fields = (profile.angles, profile.support_values, profile.boundary_points)
+        snapshot = [arr.copy() for arr in fields]
+        result = origin_verdict(matrix, profile)
+        for arr, before in zip(fields, snapshot):
+            assert np.array_equal(arr, before)
+        iofmt.write_range_csv(tmp_path / "expected.csv", profile)
+        assert (out / "boundary.csv").read_text() == (tmp_path / "expected.csv").read_text()
+        stdout = capsys.readouterr().out.splitlines()
+        assert f"origin verdict: {result.verdict}" in stdout
+        assert f"over {result.n_angles} angles" in stdout[1]
 
 
 class TestDistanceToZero:
