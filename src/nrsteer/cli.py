@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -119,6 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.set_defaults(func=_cmd_example)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process: ``parse_args`` leaves the parser unchanged."""
+    return build_parser()
 
 
 def _load_matrix(args) -> tuple[np.ndarray, dict]:
@@ -362,8 +369,7 @@ def _cmd_example(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NothingToSteerError as exc:

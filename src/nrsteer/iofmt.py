@@ -74,18 +74,30 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
         raise MatrixFileError(
             f"{path}: expected {dim * dim} entries for dim {dim}, got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    flat = []
-    for k, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise MatrixFileError(f"{path}: entry {k} is not a [re, im] pair")
-        re_part, im_part = pair
-        z = complex(float(re_part), float(im_part))
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise MatrixFileError(f"{path}: entry {k} is not finite")
-        flat.append(z)
-    matrix = np.array(flat, dtype=np.complex128).reshape(dim, dim)
+    try:
+        parts = np.array(entries)
+    except ValueError:  # ragged pairs
+        parts = None
+    if parts is None or parts.shape != (dim * dim, 2) or parts.dtype.kind not in "biuf":
+        # strings, nulls, huge integers or malformed pairs: check entry by entry
+        parts = np.array([_entry(path, k, pair) for k, pair in enumerate(entries)])
+    parts = np.ascontiguousarray(parts, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(parts).all(axis=1))
+    if len(bad):
+        raise MatrixFileError(f"{path}: entry {bad[0]} is not finite")
+    matrix = parts.view(np.complex128).reshape(dim, dim)
     meta = {k: doc[k] for k in ("label", "source") if k in doc}
     return matrix, meta
+
+
+def _entry(path, k: int, pair) -> tuple[float, float]:
+    """Entry ``k`` of a matrix file as (re, im), converted as ``float`` converts it."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise MatrixFileError(f"{path}: entry {k} is not a [re, im] pair")
+    re_part, im_part = float(pair[0]), float(pair[1])
+    if not (np.isfinite(re_part) and np.isfinite(im_part)):
+        raise MatrixFileError(f"{path}: entry {k} is not finite")
+    return re_part, im_part
 
 
 def write_range_csv(path, profile: SupportProfile) -> None:

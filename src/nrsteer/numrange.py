@@ -9,9 +9,19 @@ Two complementary routes:
   h(θ) = λ_max(H(θ)), H(θ) = (e^{−iθ}A + e^{iθ}A†)/2 = cos θ·H₁ + sin θ·H₂,
   sampled on the uniform grid θ_k = 2πk/n.  Since H(θ+π) = −H(θ), one
   eigensolve at θ also gives h(θ+π) = −λ_min(H(θ)), so on an even grid only
-  the angles in [0, π) are solved.  The angles are solved in blocks of at
-  most ``SWEEP_BLOCK_BYTES`` of Hermitian stack, so memory stays bounded as
-  d and n grow.  The origin verdict is certified from such a sweep: the
+  the angles in [0, π) are solved.  A sweep needs only the two extreme
+  eigenpairs of each H(θ).  From d = ``TRIDIAGONAL_MIN_DIM`` on, each H(θ)
+  is reduced once to real tridiagonal form (LAPACK ``zhetrd``), bisection
+  (``dstebz``) and inverse iteration (``dstein``) give eigenpairs 1 and d
+  of the tridiagonal, and only those two vectors are mapped back
+  (``zunmqr``): a full ``eigh`` would also build the d − 2 vectors no one
+  reads.  Below that d the per-angle calls cost more than a batched
+  ``eigh`` over a block of at most ``SWEEP_BLOCK_BYTES`` of Hermitian
+  stack, so small matrices keep the batched route.  Either way memory
+  stays bounded as d and n grow.  A warm start from the neighbouring
+  angle would not save the reduction: one grid step moves H(θ) by about
+  as much as the gap λ₁ − λ₂ on typical inputs.  The origin verdict is
+  certified from such a sweep: the
   solved values bound min h from above, the chords between neighbouring
   witness points bound it from below, and the cells that keep the bracket
   from deciding are bisected (:func:`origin_verdict`).
@@ -25,14 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .linalg import EigenSystem, as_complex_matrix, herm_eig, principal_args, schatten_inf
+from .linalg import (
+    EigendecompositionError,
+    EigenSystem,
+    as_complex_matrix,
+    herm_eig,
+    principal_args,
+    schatten_inf,
+)
 
 ANGLES_DISPLAY = 720    # default sweep resolution for figures
 ANGLES_DECISION = 2048  # default sweep resolution of distance_to_zero
 MEMBERSHIP_REL_TOL = 1e-9
 BOUNDARY_GAP_TOL = 1e-10
 SWEEP_BLOCK_BYTES = 4 * 2**20  # bytes of Hermitian stack per batched eigensolve
+TRIDIAGONAL_MIN_DIM = 14  # from this d on, a sweep solves only the two extreme eigenpairs
 MAX_REFINED_ANGLES = 4096  # angles origin_verdict may add to a profile's grid
 
 INSIDE = "inside"
@@ -136,6 +155,82 @@ def _eigh_blocks(parts, theta: np.ndarray, vectors: bool):
         yield rows, w, x
 
 
+def _lapack_outputs(routine: str, theta: float, *outputs):
+    """The outputs of a ``scipy.linalg.lapack`` call at angle θ, less its trailing ``info``."""
+    *values, info = outputs
+    if info != 0:
+        raise EigendecompositionError(f"LAPACK {routine} failed with info {info} at θ = {theta!r}")
+    return values
+
+
+def _tridiagonal_extremes(herm: np.ndarray, theta: float, lwork: int, vectors: bool):
+    """λ_min, λ_max and (when ``vectors``) the d×2 array of their unit eigenvectors.
+
+    ``herm`` is H(θ) in Fortran order and is overwritten.  One ``zhetrd``
+    reduces it to a real tridiagonal T = Q†HQ, ``dstebz`` bisects T for
+    eigenvalues 1 and d, ``dstein`` finds their eigenvectors by inverse
+    iteration, and ``zunmqr`` applies Q to those two columns alone.
+    """
+    d = herm.shape[0]
+    reduced, diag, off, tau = _lapack_outputs(
+        "zhetrd", theta, *lapack.zhetrd(herm, lower=1, lwork=lwork, overwrite_a=1)
+    )
+    # range 3 selects eigenvalues by index; each pick is (m, w, iblock, isplit)
+    bottom, top = (
+        _lapack_outputs("dstebz", theta, *lapack.dstebz(diag, off, 3, 0.0, 0.0, k, k, 0.0, "B"))
+        for k in (1, d)
+    )
+    lo, hi = bottom[1][0], top[1][0]
+    if not vectors:
+        return lo, hi, None
+    # dstein takes its eigenvalues grouped by split-off block, in block order
+    swap = bottom[2][0] > top[2][0]
+    iblock = np.zeros(d, dtype=np.int32)
+    iblock[:2] = (top[2][0], bottom[2][0]) if swap else (bottom[2][0], top[2][0])
+    w = np.array([hi, lo] if swap else [lo, hi])
+    (z,) = _lapack_outputs("dstein", theta, *lapack.dstein(diag, off, w, iblock, bottom[3]))
+    x = np.array(z[:, ::-1] if swap else z, dtype=np.complex128)
+    # with lower=1, Q fixes row 0 and its reflectors are the QR form of reduced[1:, :d-1]
+    (x[1:], _) = _lapack_outputs(
+        "zunmqr", theta, *lapack.zunmqr("L", "N", reduced[1:, :-1], tau, x[1:], 2)
+    )
+    return lo, hi, x
+
+
+def _extreme_pairs(parts, theta: np.ndarray, vectors: bool):
+    """λ_min and λ_max of H(θ) for each θ in ``theta``, with their unit eigenvectors.
+
+    Returns ``(lo, hi, x_lo, x_hi)``: the eigenvalues as arrays over
+    ``theta`` and, when ``vectors``, the eigenvectors as the rows of two
+    ``len(theta)``×d arrays, else ``None``.  From d = ``TRIDIAGONAL_MIN_DIM``
+    on each H(θ) is reduced once to tridiagonal form and only the two
+    extreme eigenpairs are computed (:func:`_tridiagonal_extremes`); below
+    it, batched ``eigh`` blocks (:func:`_eigh_blocks`) are cheaper.
+    """
+    herm_re, herm_im = parts
+    d = herm_re.shape[0]
+    lo, hi = np.empty(len(theta)), np.empty(len(theta))
+    pairs = np.empty((len(theta), 2, d), dtype=np.complex128) if vectors else None
+    if d < TRIDIAGONAL_MIN_DIM:
+        for rows, w, x in _eigh_blocks(parts, theta, vectors):
+            lo[rows], hi[rows] = w[:, 0], w[:, -1]
+            if vectors:
+                pairs[rows, 0], pairs[rows, 1] = x[:, :, 0], x[:, :, -1]
+    else:
+        herm_re, herm_im = np.asfortranarray(herm_re), np.asfortranarray(herm_im)
+        work, _ = lapack.zhetrd_lwork(d, lower=1)
+        lwork = int(work.real)
+        cos, sin = np.cos(theta).tolist(), np.sin(theta).tolist()
+        for k, t in enumerate(theta.tolist()):
+            herm = cos[k] * herm_re + sin[k] * herm_im
+            lo[k], hi[k], x = _tridiagonal_extremes(herm, t, lwork, vectors)
+            if vectors:
+                pairs[k] = x.T
+    if not vectors:
+        return lo, hi, None, None
+    return lo, hi, pairs[:, 0], pairs[:, 1]
+
+
 def _support_sweep(
     a: np.ndarray, n_angles: int, witnesses: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -143,7 +238,7 @@ def _support_sweep(
 
     On an even grid θ_{k+n/2} = θ_k + π, so the first n/2 angles are solved
     and the rest read λ_min and the bottom eigenvector; an odd grid has no
-    antipodal pairs and every angle is solved for λ_max alone.
+    antipodal pairs, so every angle is solved and only λ_max is read.
     """
     if n_angles < 16:
         raise ValueError(f"need at least 16 angles, got {n_angles}")
@@ -151,18 +246,11 @@ def _support_sweep(
     angles = np.arange(n_angles) * (2 * np.pi / n_angles)
     solved = n_angles // 2 if n_angles % 2 == 0 else n_angles
     mirror = solved < n_angles
-    h = np.empty(n_angles)
-    points = np.empty(n_angles, dtype=np.complex128) if witnesses else None
-    for rows, w, x in _eigh_blocks(_hermitian_parts(a), angles[:solved], witnesses):
-        h[rows] = w[:, -1]
-        if witnesses:
-            points[rows] = _rayleigh(a, x[:, :, -1])
-        if mirror:
-            far = slice(rows.start + solved, rows.stop + solved)
-            h[far] = -w[:, 0]
-            if witnesses:
-                points[far] = _rayleigh(a, x[:, :, 0])
-    return angles, h, points
+    lo, hi, x_lo, x_hi = _extreme_pairs(_hermitian_parts(a), angles[:solved], witnesses)
+    h = np.concatenate([hi, -lo]) if mirror else hi
+    if not witnesses:
+        return angles, h, None
+    return angles, h, _rayleigh(a, np.concatenate([x_hi, x_lo]) if mirror else x_hi)
 
 
 def _rayleigh(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,7 +259,7 @@ def _rayleigh(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def support_values(a: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and h(θ) over a uniform grid of [0, 2π), blocked half-circle sweep."""
+    """Angles and h(θ) over a uniform grid of [0, 2π), half-circle sweep."""
     angles, h, _ = _support_sweep(a, n_angles, witnesses=False)
     return angles, h
 
@@ -288,11 +376,8 @@ def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
             )
         ends = np.append(angles[1:], angles[0] + 2 * np.pi)
         mids = np.mod((angles[cells] + ends[cells]) / 2, 2 * np.pi)
-        mid_h = np.empty(len(mids))
-        mid_points = np.empty(len(mids), dtype=np.complex128)
-        for rows, w, x in _eigh_blocks(parts, mids, vectors=True):
-            mid_h[rows] = w[:, -1]
-            mid_points[rows] = _rayleigh(a, x[:, :, -1])
+        _, mid_h, _, x_mid = _extreme_pairs(parts, mids, vectors=True)
+        mid_points = _rayleigh(a, x_mid)
         order = np.argsort(np.concatenate([angles, mids]), kind="stable")
         angles = np.concatenate([angles, mids])[order]
         h = np.concatenate([h, mid_h])[order]

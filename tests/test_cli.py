@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +42,42 @@ class TestMatrixFiles:
         path.write_text('{"dim": 2, "entries": [[1.0, 0.0]]}')
         with pytest.raises(iofmt.MatrixFileError, match="expected 4 entries"):
             iofmt.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[1, 0], [0], [1, 0], [0, 1]], "entry 1 is not a [re, im] pair"),
+            ([[1, 0], [0, 1, 2], [1, 0], [0, 1]], "entry 1 is not a [re, im] pair"),
+            ([[1, 0], [0, 0], "x", [0, 1]], "entry 2 is not a [re, im] pair"),
+            ([[1, 0], [0, 0], [1, 0], [0, 1e400]], "entry 3 is not finite"),
+            ([[1, 0], ["nan", 0], [1, 0], [0, 1]], "entry 1 is not finite"),
+            # entries are checked in order, whichever check fails first
+            ([[1, 0], [float("inf"), 0], [1], [0, 1]], "entry 1 is not finite"),
+            ([[1, 0], [1], [float("inf"), 0], [0, 1]], "entry 1 is not a [re, im] pair"),
+        ],
+    )
+    def test_bad_entry_reports_index(self, tmp_path, entries, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        with pytest.raises(iofmt.MatrixFileError, match=re.escape(message)):
+            iofmt.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1.5, -2], [True, 3], [-0.0, 0.0], [7, -0.0]],
+            [["1.5", " -2 "], [True, 3], [-0.0, 0.0], [2**70, -0.0]],
+        ],
+        ids=["numbers", "strings-and-huge-int"],
+    )
+    def test_entries_convert_as_float_does(self, tmp_path, entries):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        matrix, _ = iofmt.read_matrix(path)
+        expected = np.array([complex(float(re_), float(im)) for re_, im in entries])
+        # bit for bit, so the signs of the zeros count
+        assert matrix.shape == (2, 2)
+        assert matrix.ravel().view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_cli_exit_code_on_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -108,6 +146,38 @@ class TestSteerCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["plan"]["verdict"] == "not_reached_within_horizon"
         assert report["plan"]["t_star"] is None
+
+
+class TestParserReuse:
+    def test_calls_share_no_state(self, demo_file, tmp_path, capsys):
+        # main builds its parser once per process: the options of one call
+        # must not become the defaults of the next
+        calls = [
+            ("steer", "--horizon", "0.1", "--tol-t", "1e-2"),
+            ("range", "--angles", "64", "--polar-fix"),
+            ("steer",),
+        ]
+
+        def run(tag, fresh):
+            outputs = []
+            for k, call in enumerate(calls):
+                if fresh:
+                    cli._parser.cache_clear()
+                out = tmp_path / f"{tag}{k}"
+                assert run_cli(*call, "--input", demo_file, "--out-dir", str(out)) == 0
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                # steer prints its wall time
+                stdout = re.sub(r"\(\d+\.\d+s\)", "(wall time)", stdout)
+                files = {f.name: f.read_text() for f in sorted(out.iterdir())}
+                outputs.append((stdout, files))
+            return outputs
+
+        cli._parser.cache_clear()
+        shared = run("shared", fresh=False)
+        assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 2)
+        assert shared == run("fresh", fresh=True)
+        settings = json.loads(shared[2][1]["report.json"])["settings"]
+        assert settings["horizon"] == 2 * math.pi and settings["tol_t"] == 1e-3
 
 
 class TestTrajectoryCommand:

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.optimize import minimize_scalar
 
 from nrsteer import cli, demo, iofmt, numrange
-from nrsteer.linalg import schatten_inf, unitary_eig
+from nrsteer.linalg import EigendecompositionError, schatten_inf, unitary_eig
 from nrsteer.numrange import (
     BOUNDARY_WITHIN_TOL,
     INSIDE,
     MEMBERSHIP_REL_TOL,
     ON_BOUNDARY,
     OUTSIDE,
+    TRIDIAGONAL_MIN_DIM,
     SupportProfile,
     contains_zero_general,
     contains_zero_unitary,
@@ -24,6 +26,7 @@ from nrsteer.numrange import (
     widest_gap,
     _angles_per_block,
     _cell_lower_bounds,
+    _hermitian_parts,
 )
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary
 from nrsteer.testkit import brute_membership, haar_unitary
@@ -154,10 +157,137 @@ class TestSupportSweep:
     def test_matches_per_angle(self, kind, n):
         self.check_against_per_angle(sweep_input(kind, 5, seed=n), n)
 
-    def test_block_seams(self):
-        # 720 angles at d = 64 solve 360 matrices, several blocks' worth
-        assert 360 > 2 * _angles_per_block(64)
+    def test_block_seams(self, monkeypatch):
+        # below the crossover the sweep runs batched eigh blocks; shrink them
+        # so that the 360 solved angles of a 720 grid span several
+        d = TRIDIAGONAL_MIN_DIM - 1
+        monkeypatch.setattr(numrange, "SWEEP_BLOCK_BYTES", 16 * d * d * 50)
+        assert 360 > 2 * _angles_per_block(d)
+        self.check_against_per_angle(sweep_input("non-normal", d, seed=3), 720)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("kind", ["non-normal", "hermitian"])
+    @pytest.mark.parametrize("d", [TRIDIAGONAL_MIN_DIM - 1, TRIDIAGONAL_MIN_DIM])
+    def test_crossover_dims(self, d, kind, n):
+        self.check_against_per_angle(sweep_input(kind, d, seed=n), n)
+
+    def test_above_crossover(self):
         self.check_against_per_angle(sweep_input("non-normal", 64, seed=3), 720)
+
+
+def solved_angles_by_tridiagonal(monkeypatch, a, n):
+    """How many H(θ) a ``support_profile(a, n)`` reduces with ``zhetrd``."""
+    calls = []
+    original = lapack.zhetrd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zhetrd", counted)
+    support_profile(a, n)
+    return len(calls)
+
+
+class TestExtremePairs:
+    """The tridiagonal route for d ≥ ``TRIDIAGONAL_MIN_DIM`` against batched ``eigh``."""
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_route_by_dimension(self, monkeypatch, n):
+        solved = n // 2 if n % 2 == 0 else n
+        below = sweep_input("non-normal", TRIDIAGONAL_MIN_DIM - 1, seed=0)
+        at = sweep_input("non-normal", TRIDIAGONAL_MIN_DIM, seed=0)
+        assert solved_angles_by_tridiagonal(monkeypatch, below, n) == 0
+        assert solved_angles_by_tridiagonal(monkeypatch, at, n) == solved
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            sweep_input("non-normal", TRIDIAGONAL_MIN_DIM, seed=1),
+            sweep_input("normal", 24, seed=2),
+            sweep_input("hermitian", 33, seed=3),
+            ginibre(np.random.default_rng(4), 64),
+        ],
+        ids=["non-normal", "normal", "hermitian", "d64"],
+    )
+    @pytest.mark.parametrize("n", [720, 721])
+    def test_matches_eigh_route(self, monkeypatch, a, n):
+        scale = schatten_inf(a)
+        profile = support_profile(a, n)
+        monkeypatch.setattr(numrange, "TRIDIAGONAL_MIN_DIM", 10**9)
+        reference = support_profile(a, n)
+        assert np.abs(profile.support_values - reference.support_values).max() <= 1e-12 * scale
+        attained = np.real(np.exp(-1j * profile.angles) * profile.boundary_points)
+        assert np.abs(attained - profile.support_values).max() <= 1e-12 * scale
+        # the witness is unique only where λ₁ − λ₂ leaves no flat edge
+        herm_re, herm_im = _hermitian_parts(a)
+        stack = np.cos(profile.angles)[:, None, None] * herm_re
+        w = np.linalg.eigvalsh(stack + np.sin(profile.angles)[:, None, None] * herm_im)
+        unique = w[:, -1] - w[:, -2] >= 1e-6 * scale
+        assert unique.mean() > 0.5
+        moved = np.abs(profile.boundary_points - reference.boundary_points)
+        assert moved[unique].max() <= 1e-9 * scale
+
+    def test_scalar_matrix(self):
+        # c·I: λ_min = λ_max at every angle and T is diagonal
+        c = 0.3 - 0.7j
+        a = c * np.eye(TRIDIAGONAL_MIN_DIM + 4)
+        profile = support_profile(a, 720)
+        expected = np.real(np.exp(-1j * profile.angles) * c)
+        assert np.abs(profile.support_values - expected).max() < 1e-15
+        assert np.abs(profile.boundary_points - c).max() < 1e-15
+        assert origin_verdict(a, profile).verdict == OUTSIDE
+
+    @pytest.mark.parametrize("n", [720, 721])
+    def test_split_tridiagonal(self, n):
+        # H(θ) of a block-diagonal A is block diagonal, so T splits; which
+        # block holds λ_min and which λ_max changes around the circle
+        rng = np.random.default_rng(5)
+        a = np.zeros((20, 20), dtype=complex)
+        a[:8, :8] = ginibre(rng, 8) + 1.5
+        a[8:, 8:] = ginibre(rng, 12)
+        _, _, off, _, _ = lapack.zhetrd(np.asfortranarray(_hermitian_parts(a)[0]), lower=1)
+        assert off[7] == 0.0
+        TestSupportSweep().check_against_per_angle(a, n)
+
+    @pytest.mark.parametrize("routine", ["zhetrd", "dstebz", "dstein", "zunmqr"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        original = getattr(lapack, routine)
+
+        def failing(*args, **kwargs):
+            *outputs, _ = original(*args, **kwargs)
+            return (*outputs, 1)
+
+        monkeypatch.setattr(lapack, routine, failing)
+        a = sweep_input("non-normal", TRIDIAGONAL_MIN_DIM, seed=0)
+        message = rf"{routine} failed with info 1 at θ = 0.0"
+        with pytest.raises(EigendecompositionError, match=message):
+            support_profile(a, 16)
+
+    def test_refinement_above_crossover(self):
+        # a Hermitian A has W(A) = [λ_min, λ_max] ∋ 0, with min h = 0 at
+        # θ = π/2, which no angle of an odd grid hits: bisection must reach it
+        a = sweep_input("hermitian", TRIDIAGONAL_MIN_DIM + 4, seed=6)
+        w = np.linalg.eigvalsh(a)
+        assert w[0] < 0 < w[-1]
+        result = origin_verdict(a, support_profile(a, 17))
+        assert result.verdict == BOUNDARY_WITHIN_TOL
+        assert result.n_angles > 17
+        assert result.angle == pytest.approx(np.pi / 2, abs=1e-12)
+        # at this exact touch L and U are both rounding noise of size ε‖A‖,
+        # rounded apart, so only their place inside [−tol, tol] is checked
+        tol = MEMBERSHIP_REL_TOL * schatten_inf(a)
+        assert -tol <= result.lower <= tol and -tol <= result.upper <= tol
+
+    def test_near_miss_outside_above_crossover(self):
+        # 1e-8·‖A‖ outside: no angle of the 720 grid certifies it
+        a = shifted_to_margin(0, -1e-8, d=TRIDIAGONAL_MIN_DIM)
+        profile = support_profile(a)
+        assert profile.support_values.min() >= -MEMBERSHIP_REL_TOL * schatten_inf(a)
+        result = origin_verdict(a, profile)
+        assert result.verdict == OUTSIDE
+        assert result.n_angles > numrange.ANGLES_DISPLAY
+        assert_certified(a, result)
 
 
 class TestUnitaryPolygon:
@@ -248,14 +378,14 @@ def eigvalsh_support(a, theta):
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def shifted_to_margin(seed, margin):
-    """A d = 5 non-normal matrix shifted so that min h = ``margin``·‖A‖.
+def shifted_to_margin(seed, margin, d=5):
+    """A d×d non-normal matrix shifted so that min h = ``margin``·‖A‖.
 
     The argmin θ* of h is found on a dense odd grid and polished by a bounded
     scalar search; shifting A by c·e^{iθ*}·I adds c·cos(θ − θ*) to h, which
     keeps θ* a critical point and moves h(θ*) to the target.
     """
-    g = ginibre(np.random.default_rng(seed), 5)
+    g = ginibre(np.random.default_rng(seed), d)
     angles, h = support_values(g, 20_001)
     k = int(np.argmin(h))
     polished = minimize_scalar(
@@ -265,7 +395,7 @@ def shifted_to_margin(seed, margin):
         options={"xatol": 1e-12},
     )
     shift = margin * schatten_inf(g) - polished.fun
-    return g + shift * np.exp(1j * polished.x) * np.eye(5)
+    return g + shift * np.exp(1j * polished.x) * np.eye(d)
 
 
 def assert_certified(a, result):
