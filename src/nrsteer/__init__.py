@@ -16,31 +16,21 @@ from .linalg import (  # noqa: E402
     EigendecompositionError,
     EigenSystem,
     EigenspaceIsometry,
-    GeneratorReduction,
-    ZeroPerturbationError,
     check_hermitian,
     check_unitary,
     geodesic_point,
-    herm_eig,
     principal_log_unitary,
-    reduce_to_generator,
     schatten_inf,
-    schatten_norm,
     unitary_eig,
     unitary_exp_herm,
 )
 from .numrange import (  # noqa: E402
     OriginVerdict,
-    RangePolygon,
     SupportProfile,
     contains_zero_general,
     contains_zero_unitary,
-    distance_to_zero,
     origin_verdict,
-    support_function,
     support_profile,
-    support_values,
-    unitary_range_polygon,
 )
 from .perturb import (  # noqa: E402
     CompressedPerturbation,
@@ -49,7 +39,6 @@ from .perturb import (  # noqa: E402
     TrackingCollisionError,
     TrajectoryRecord,
     compress_generator,
-    exact_velocity,
     first_order_eigenvalue,
     perturbation_matrix,
     perturbed_unitary,

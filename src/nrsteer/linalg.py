@@ -4,8 +4,7 @@ Everything here works on plain complex ``numpy`` arrays.  Matrices are
 validated at API boundaries (:func:`check_unitary`, :func:`check_hermitian`)
 instead of being wrapped in dedicated classes, once: callers that already
 hold a checked unitary use the unchecked core ``_unitary_eig``; structured results
-(:class:`EigenSystem`, :class:`EigenspaceIsometry`, :class:`GeneratorReduction`)
-are frozen dataclasses.
+(:class:`EigenSystem`, :class:`EigenspaceIsometry`) are frozen dataclasses.
 
 The unitary eigendecomposition deliberately avoids the nonsymmetric QR
 algorithm: a unitary U is normal, so its Hermitian part A = (U + U†)/2 and
@@ -17,7 +16,7 @@ inside each degenerate eigenspace of A).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,22 +34,17 @@ __all__ = [
     "BRANCH_TOL",
     "BranchCutWarning",
     "EigendecompositionError",
-    "ZeroPerturbationError",
     "EigenSystem",
     "EigenspaceIsometry",
-    "GeneratorReduction",
     "as_complex_matrix",
     "check_unitary",
     "check_hermitian",
-    "herm_eig",
     "unitary_eig",
     "principal_args",
-    "schatten_norm",
     "schatten_inf",
     "principal_log_unitary",
     "unitary_exp_herm",
     "geodesic_point",
-    "reduce_to_generator",
 ]
 
 
@@ -64,10 +58,6 @@ class EigendecompositionError(Exception):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class ZeroPerturbationError(ValueError):
-    """The Hermitian generator carries no usable perturbation content."""
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -102,17 +92,12 @@ def check_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     return h
 
 
-def herm_eig(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, which the caller has checked or built Hermitian.
 
     Returns ``(w, x)`` with real eigenvalues ``w`` ascending and unitary ``x``
     whose columns are the eigenvectors, so that ``h = x @ diag(w) @ x†``.
     """
-    return _herm_eig(check_hermitian(h, tol=tol))
-
-
-def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`herm_eig` without the Hermiticity check, for matrices Hermitian by construction."""
     try:
         w, x = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -123,30 +108,14 @@ def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, x
 
 
-def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm ``(Σ σ_i^p)^(1/p)`` over the singular values of ``a``."""
-    if not np.isfinite(p) or p < 1:
-        raise ValueError(f"schatten_norm requires finite p >= 1, got {p}")
-    sigma = _singular_values(a)
-    if p == 1:
-        return float(sigma.sum())
-    if p == 2:
-        return float(np.sqrt((sigma**2).sum()))
-    return float((sigma**p).sum() ** (1.0 / p))
-
-
 def schatten_inf(a: np.ndarray) -> float:
-    """Operator norm: the largest singular value of ``a``."""
-    return float(_singular_values(a)[-1]) if a.size else 0.0
-
-
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, ascending, via the Hermitian eigenproblem of A†A."""
+    """Operator norm: the largest singular value of ``a``, from the eigenvalues of A†A."""
     a = np.asarray(a, dtype=np.complex128)
+    if not a.size:
+        return 0.0
     gram = a.conj().T @ a
     gram = (gram + gram.conj().T) / 2
-    w = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(w, 0.0, None))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def _fix_column_phases(x: np.ndarray) -> np.ndarray:
@@ -209,19 +178,6 @@ class EigenspaceIsometry:
     @property
     def multiplicity(self) -> int:
         return self.columns.shape[1]
-
-
-@dataclass(frozen=True)
-class GeneratorReduction:
-    """Diagonalized, shifted and trace-normalized form of a Hermitian generator.
-
-    Reconstruction: ``H = basis @ diag(scale * p + shift) @ basis†``.
-    """
-
-    p: np.ndarray
-    basis: np.ndarray
-    shift: float
-    scale: float
 
 
 def _cluster_on_circle(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -329,7 +285,7 @@ def principal_log_unitary(
 
 def unitary_exp_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i·t·H) for Hermitian H, via the symmetric eigendecomposition."""
-    w, x = herm_eig(h)
+    w, x = _herm_eig(check_hermitian(h))
     return (x * np.exp(1j * t * w)) @ x.conj().T
 
 
@@ -347,30 +303,3 @@ def geodesic_point(
     x = system.vectors
     return u @ ((x * np.exp(1j * t * theta)) @ x.conj().T)
 
-
-def reduce_to_generator(h: np.ndarray, herm_tol: float = HERM_TOL) -> GeneratorReduction:
-    """Reduce a Hermitian generator to a nonnegative, trace-one diagonal.
-
-    Diagonalizes H, shifts all eigenvalues down by the minimum when any is
-    negative (the shift only changes a global phase of exp(itH)), and rescales
-    to unit trace.  Diagonal inputs keep their own entry order and the
-    identity basis.
-    """
-    h = check_hermitian(h, tol=herm_tol)
-    d = h.shape[0]
-    scale_h = max(1.0, float(np.abs(h).max()))
-    off = h - np.diag(np.diag(h))
-    if np.abs(off).max() <= 1e-13 * scale_h:
-        diag_vals = np.real(np.diag(h)).astype(np.float64)
-        basis = np.eye(d, dtype=np.complex128)
-    else:
-        diag_vals, basis = herm_eig(h, tol=herm_tol)
-
-    shift = float(min(diag_vals.min(), 0.0))
-    nonneg = diag_vals - shift
-    scale = float(nonneg.sum())
-    if scale <= 1e-12 * scale_h:
-        raise ZeroPerturbationError(
-            "zero perturbation: the generator has no content beyond a global phase"
-        )
-    return GeneratorReduction(p=nonneg / scale, basis=basis, shift=shift, scale=scale)

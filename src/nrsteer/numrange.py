@@ -7,24 +7,25 @@ Two complementary routes:
   eigenvalues;
 * arbitrary complex matrices: a support-function sweep
   h(θ) = λ_max(H(θ)), H(θ) = (e^{−iθ}A + e^{iθ}A†)/2 = cos θ·H₁ + sin θ·H₂,
-  sampled on the uniform grid θ_k = 2πk/n.  Since H(θ+π) = −H(θ), one
-  eigensolve at θ also gives h(θ+π) = −λ_min(H(θ)), so on an even grid only
-  the angles in [0, π) are solved.  A sweep needs only the two extreme
-  eigenpairs of each H(θ).  From d = ``TRIDIAGONAL_MIN_DIM`` on, each H(θ)
-  is reduced once to real tridiagonal form (LAPACK ``zhetrd``), bisection
-  (``dstebz``) and inverse iteration (``dstein``) give eigenpairs 1 and d
-  of the tridiagonal, and only those two vectors are mapped back
-  (``zunmqr``): a full ``eigh`` would also build the d − 2 vectors no one
-  reads.  Below that d the per-angle calls cost more than a batched
-  ``eigh`` over a block of at most ``SWEEP_BLOCK_BYTES`` of Hermitian
-  stack, so small matrices keep the batched route.  Either way memory
-  stays bounded as d and n grow.  A warm start from the neighbouring
-  angle would not save the reduction: one grid step moves H(θ) by about
-  as much as the gap λ₁ − λ₂ on typical inputs.  The origin verdict is
-  certified from such a sweep: the
-  solved values bound min h from above, the chords between neighbouring
-  witness points bound it from below, and the cells that keep the bracket
-  from deciding are bisected (:func:`origin_verdict`).
+  sampled on the uniform grid θ_k = 2πk/n by :func:`support_profile`,
+  together with a boundary point of W(A) at each angle.  Since
+  H(θ+π) = −H(θ), one eigensolve at θ also gives h(θ+π) = −λ_min(H(θ)),
+  so on an even grid only the angles in [0, π) are solved.  A sweep needs
+  only the two extreme eigenpairs of each H(θ).  From
+  d = ``TRIDIAGONAL_MIN_DIM`` on, each H(θ) is reduced once to real
+  tridiagonal form (LAPACK ``zhetrd``), bisection (``dstebz``) and inverse
+  iteration (``dstein``) give eigenpairs 1 and d of the tridiagonal, and
+  only those two vectors are mapped back (``zunmqr``): a full ``eigh``
+  would also build the d − 2 vectors no one reads.  Below that d the
+  per-angle calls cost more than a batched ``eigh`` over a block of at
+  most ``SWEEP_BLOCK_BYTES`` of Hermitian stack, so small matrices keep the
+  batched route.  Either way memory stays bounded as d and n grow.  A warm
+  start from the neighbouring angle would not save the reduction: one grid
+  step moves H(θ) by about as much as the gap λ₁ − λ₂ on typical inputs.
+  The origin verdict is certified from such a sweep: the solved values
+  bound min h from above, the chords between neighbouring boundary points
+  bound it from below, and the cells that keep the bracket from deciding
+  are bisected (:func:`origin_verdict`).
 
 The two routes deliberately do not share eigendecomposition results, so one
 can serve as an oracle for the other.
@@ -37,17 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import (
-    EigendecompositionError,
-    EigenSystem,
-    as_complex_matrix,
-    herm_eig,
-    principal_args,
-    schatten_inf,
-)
+from .linalg import EigendecompositionError, EigenSystem, as_complex_matrix, schatten_inf
 
 ANGLES_DISPLAY = 720    # default sweep resolution for figures
-ANGLES_DECISION = 2048  # default sweep resolution of distance_to_zero
 MEMBERSHIP_REL_TOL = 1e-9
 BOUNDARY_GAP_TOL = 1e-10
 SWEEP_BLOCK_BYTES = 4 * 2**20  # bytes of Hermitian stack per batched eigensolve
@@ -61,23 +54,17 @@ BOUNDARY_WITHIN_TOL = "boundary_within_tol"
 
 __all__ = [
     "ANGLES_DISPLAY",
-    "ANGLES_DECISION",
     "INSIDE",
     "OUTSIDE",
     "ON_BOUNDARY",
     "BOUNDARY_WITHIN_TOL",
     "SupportProfile",
     "OriginVerdict",
-    "RangePolygon",
-    "support_function",
-    "support_values",
     "support_profile",
-    "unitary_range_polygon",
     "widest_gap",
     "contains_zero_unitary",
     "origin_verdict",
     "contains_zero_general",
-    "distance_to_zero",
 ]
 
 
@@ -111,21 +98,6 @@ class OriginVerdict:
     n_angles: int
 
 
-@dataclass(frozen=True)
-class RangePolygon:
-    """Convex polygon vertices in counterclockwise order."""
-
-    vertices: np.ndarray
-
-
-def support_function(a: np.ndarray, theta: float) -> tuple[float, np.ndarray]:
-    """Support value h(θ) of W(A) and the witness unit vector attaining it."""
-    a = as_complex_matrix(a)
-    herm = (np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T) / 2
-    w, x = herm_eig(herm, tol=1e-9)
-    return float(w[-1]), x[:, -1]
-
-
 def _angles_per_block(d: int) -> int:
     """Angles whose d×d complex Hermitian matrices fit in ``SWEEP_BLOCK_BYTES``."""
     return max(1, SWEEP_BLOCK_BYTES // (16 * d * d))
@@ -136,22 +108,18 @@ def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a + a.conj().T) / 2, (a - a.conj().T) / 2j
 
 
-def _eigh_blocks(parts, theta: np.ndarray, vectors: bool):
+def _eigh_blocks(parts, theta: np.ndarray):
     """Eigendecompose H(θ) for each θ in ``theta``, in blocks of at most ``SWEEP_BLOCK_BYTES``.
 
     Yields ``(rows, w, x)``: the slice of ``theta`` solved, the ascending
-    eigenvalues and (when ``vectors``) the eigenvectors, else ``None``.
+    eigenvalues and the eigenvectors.
     """
     herm_re, herm_im = parts
     step = _angles_per_block(herm_re.shape[0])
     for lo in range(0, len(theta), step):
         rows = slice(lo, min(lo + step, len(theta)))
         t = theta[rows, None, None]
-        stack = np.cos(t) * herm_re + np.sin(t) * herm_im
-        if vectors:
-            w, x = np.linalg.eigh(stack)
-        else:
-            w, x = np.linalg.eigvalsh(stack), None
+        w, x = np.linalg.eigh(np.cos(t) * herm_re + np.sin(t) * herm_im)
         yield rows, w, x
 
 
@@ -163,8 +131,8 @@ def _lapack_outputs(routine: str, theta: float, *outputs):
     return values
 
 
-def _tridiagonal_extremes(herm: np.ndarray, theta: float, lwork: int, vectors: bool):
-    """λ_min, λ_max and (when ``vectors``) the d×2 array of their unit eigenvectors.
+def _tridiagonal_extremes(herm: np.ndarray, theta: float, lwork: int):
+    """λ_min, λ_max and the d×2 array of their unit eigenvectors.
 
     ``herm`` is H(θ) in Fortran order and is overwritten.  One ``zhetrd``
     reduces it to a real tridiagonal T = Q†HQ, ``dstebz`` bisects T for
@@ -181,8 +149,6 @@ def _tridiagonal_extremes(herm: np.ndarray, theta: float, lwork: int, vectors: b
         for k in (1, d)
     )
     lo, hi = bottom[1][0], top[1][0]
-    if not vectors:
-        return lo, hi, None
     # dstein takes its eigenvalues grouped by split-off block, in block order
     swap = bottom[2][0] > top[2][0]
     iblock = np.zeros(d, dtype=np.int32)
@@ -197,25 +163,24 @@ def _tridiagonal_extremes(herm: np.ndarray, theta: float, lwork: int, vectors: b
     return lo, hi, x
 
 
-def _extreme_pairs(parts, theta: np.ndarray, vectors: bool):
+def _extreme_pairs(parts, theta: np.ndarray):
     """λ_min and λ_max of H(θ) for each θ in ``theta``, with their unit eigenvectors.
 
     Returns ``(lo, hi, x_lo, x_hi)``: the eigenvalues as arrays over
-    ``theta`` and, when ``vectors``, the eigenvectors as the rows of two
-    ``len(theta)``×d arrays, else ``None``.  From d = ``TRIDIAGONAL_MIN_DIM``
-    on each H(θ) is reduced once to tridiagonal form and only the two
-    extreme eigenpairs are computed (:func:`_tridiagonal_extremes`); below
-    it, batched ``eigh`` blocks (:func:`_eigh_blocks`) are cheaper.
+    ``theta`` and the eigenvectors as the rows of two ``len(theta)``×d
+    arrays.  From d = ``TRIDIAGONAL_MIN_DIM`` on each H(θ) is reduced once
+    to tridiagonal form and only the two extreme eigenpairs are computed
+    (:func:`_tridiagonal_extremes`); below it, batched ``eigh`` blocks
+    (:func:`_eigh_blocks`) are cheaper.
     """
     herm_re, herm_im = parts
     d = herm_re.shape[0]
     lo, hi = np.empty(len(theta)), np.empty(len(theta))
-    pairs = np.empty((len(theta), 2, d), dtype=np.complex128) if vectors else None
+    pairs = np.empty((len(theta), 2, d), dtype=np.complex128)
     if d < TRIDIAGONAL_MIN_DIM:
-        for rows, w, x in _eigh_blocks(parts, theta, vectors):
+        for rows, w, x in _eigh_blocks(parts, theta):
             lo[rows], hi[rows] = w[:, 0], w[:, -1]
-            if vectors:
-                pairs[rows, 0], pairs[rows, 1] = x[:, :, 0], x[:, :, -1]
+            pairs[rows, 0], pairs[rows, 1] = x[:, :, 0], x[:, :, -1]
     else:
         herm_re, herm_im = np.asfortranarray(herm_re), np.asfortranarray(herm_im)
         work, _ = lapack.zhetrd_lwork(d, lower=1)
@@ -223,18 +188,18 @@ def _extreme_pairs(parts, theta: np.ndarray, vectors: bool):
         cos, sin = np.cos(theta).tolist(), np.sin(theta).tolist()
         for k, t in enumerate(theta.tolist()):
             herm = cos[k] * herm_re + sin[k] * herm_im
-            lo[k], hi[k], x = _tridiagonal_extremes(herm, t, lwork, vectors)
-            if vectors:
-                pairs[k] = x.T
-    if not vectors:
-        return lo, hi, None, None
+            lo[k], hi[k], x = _tridiagonal_extremes(herm, t, lwork)
+            pairs[k] = x.T
     return lo, hi, pairs[:, 0], pairs[:, 1]
 
 
-def _support_sweep(
-    a: np.ndarray, n_angles: int, witnesses: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Angles, h(θ) and (when ``witnesses``) boundary points on the uniform grid.
+def _rayleigh(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x†Ax for each row x of ``x``."""
+    return (x.conj() * (x @ a.T)).sum(axis=1)
+
+
+def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportProfile:
+    """h(θ) and its boundary points on the uniform grid θ_k = 2πk/n of [0, 2π).
 
     On an even grid θ_{k+n/2} = θ_k + π, so the first n/2 angles are solved
     and the rest read λ_min and the bottom eigenvector; an odd grid has no
@@ -246,34 +211,10 @@ def _support_sweep(
     angles = np.arange(n_angles) * (2 * np.pi / n_angles)
     solved = n_angles // 2 if n_angles % 2 == 0 else n_angles
     mirror = solved < n_angles
-    lo, hi, x_lo, x_hi = _extreme_pairs(_hermitian_parts(a), angles[:solved], witnesses)
+    lo, hi, x_lo, x_hi = _extreme_pairs(_hermitian_parts(a), angles[:solved])
     h = np.concatenate([hi, -lo]) if mirror else hi
-    if not witnesses:
-        return angles, h, None
-    return angles, h, _rayleigh(a, np.concatenate([x_hi, x_lo]) if mirror else x_hi)
-
-
-def _rayleigh(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x†Ax for each row x of ``x``."""
-    return (x.conj() * (x @ a.T)).sum(axis=1)
-
-
-def support_values(a: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and h(θ) over a uniform grid of [0, 2π), half-circle sweep."""
-    angles, h, _ = _support_sweep(a, n_angles, witnesses=False)
-    return angles, h
-
-
-def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportProfile:
-    """Full boundary sweep with witnesses: :func:`support_values` plus eigenvectors."""
-    angles, h, points = _support_sweep(a, n_angles, witnesses=True)
-    return SupportProfile(angles=angles, support_values=h, boundary_points=points)
-
-
-def unitary_range_polygon(system: EigenSystem) -> RangePolygon:
-    """Vertices of W(U): the distinct eigenvalues in counterclockwise order."""
-    reps = system.representatives()
-    return RangePolygon(vertices=reps[np.argsort(principal_args(reps), kind="stable")])
+    x = np.concatenate([x_hi, x_lo]) if mirror else x_hi
+    return SupportProfile(angles=angles, support_values=h, boundary_points=_rayleigh(a, x))
 
 
 def widest_gap(system: EigenSystem) -> tuple[float, int, int]:
@@ -360,7 +301,10 @@ def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
     while True:
         cell_lower = _cell_lower_bounds(angles, points)
         k = int(np.argmin(h))
-        lower, upper = float(cell_lower.min()), float(h[k])
+        upper = float(h[k])
+        # L comes from Rayleigh quotients and U from eigenvalues, so at an
+        # exact touch rounding can put L above U; min h ≤ U bounds L anyway
+        lower = min(float(cell_lower.min()), upper)
         verdict = _bracket_verdict(lower, upper, tol)
         if verdict is not None:
             return OriginVerdict(verdict, lower, upper, float(angles[k]), len(angles))
@@ -376,7 +320,7 @@ def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
             )
         ends = np.append(angles[1:], angles[0] + 2 * np.pi)
         mids = np.mod((angles[cells] + ends[cells]) / 2, 2 * np.pi)
-        _, mid_h, _, x_mid = _extreme_pairs(parts, mids, vectors=True)
+        _, mid_h, _, x_mid = _extreme_pairs(parts, mids)
         mid_points = _rayleigh(a, x_mid)
         order = np.argsort(np.concatenate([angles, mids]), kind="stable")
         angles = np.concatenate([angles, mids])[order]
@@ -387,9 +331,3 @@ def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
 def contains_zero_general(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> str:
     """Certified membership of 0 in W(A): :func:`origin_verdict` on an ``n_angles`` profile."""
     return origin_verdict(a, support_profile(a, n_angles)).verdict
-
-
-def distance_to_zero(a: np.ndarray, n_angles: int = ANGLES_DECISION) -> float:
-    """Euclidean distance from the origin to W(A); 0 when the origin is inside."""
-    _, h = support_values(a, n_angles)
-    return max(0.0, float((-h).max()))

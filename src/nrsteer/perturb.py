@@ -54,7 +54,6 @@ __all__ = [
     "first_order_eigenvalue",
     "compress_generator",
     "stationarity_certificate",
-    "exact_velocity",
     "track_trajectory",
 ]
 
@@ -199,14 +198,6 @@ def stationarity_certificate(
     return StationarityCertificate(
         stationary=True, min_speed=min_speed, witness=witness, probe_residual=residual
     )
-
-
-def exact_velocity(lam: complex, x: np.ndarray, p: np.ndarray, direction: str = CCW) -> complex:
-    """Instantaneous velocity ±i·λ·Σ_i p_i |x_i|² of an eigenvalue of U·V(t).
-
-    The speed factor is :func:`angular_speeds` of ``x``.
-    """
-    return _direction_sign(direction) * 1j * lam * float(angular_speeds(x, p))
 
 
 class TrackingCollisionError(RuntimeError):

@@ -17,12 +17,8 @@ from nrsteer.numrange import (
     SupportProfile,
     contains_zero_general,
     contains_zero_unitary,
-    distance_to_zero,
     origin_verdict,
-    support_function,
     support_profile,
-    support_values,
-    unitary_range_polygon,
     widest_gap,
     _angles_per_block,
     _cell_lower_bounds,
@@ -53,6 +49,26 @@ def sweep_input(kind, d, seed):
     return q @ np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)) @ q.conj().T
 
 
+def herm_at(a, theta):
+    """H(θ) = (e^{−iθ}A + e^{iθ}A†)/2; a θ of shape (k, 1, 1) gives a stack of k."""
+    return (np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T) / 2
+
+
+def eigvalsh_support(a, theta):
+    """h(θ) by a direct eigvalsh of H(θ), independent of the sweeps."""
+    return float(np.linalg.eigvalsh(herm_at(a, theta))[-1])
+
+
+def dense_support(a, n, batch=4096):
+    """Angles and h(θ) on the uniform n-angle grid by batched eigvalsh, independent of the sweeps."""
+    angles = np.arange(n) * (2 * np.pi / n)
+    h = np.empty(n)
+    for lo in range(0, n, batch):
+        stack = herm_at(a, angles[lo : lo + batch, None, None])
+        h[lo : lo + batch] = np.linalg.eigvalsh(stack)[:, -1]
+    return angles, h
+
+
 def known_membership(d, answer, seed):
     """Non-normal matrix whose answer to "is 0 in W(A)?" is known.
 
@@ -68,31 +84,34 @@ def known_membership(d, answer, seed):
 
 
 class TestSupportFunction:
+    """h(θ) of simple ranges, and the spectrum inside W(A), read from :func:`support_profile`."""
+
     @pytest.mark.parametrize("theta", [0.0, 0.7, np.pi / 2, 3.0])
     def test_identity(self, theta):
-        h, witness = support_function(np.eye(3, dtype=complex), theta)
-        assert h == pytest.approx(np.cos(theta), abs=1e-12)
-        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        # the identity turned by e^{iθ}: W is the point e^{iθ}, so h(φ) = cos(φ − θ)
+        profile = support_profile(np.exp(1j * theta) * np.eye(3), 64)
+        assert np.abs(profile.support_values - np.cos(profile.angles - theta)).max() < 1e-12
+        assert np.abs(profile.boundary_points - np.exp(1j * theta)).max() < 1e-12
 
     def test_real_segment(self):
-        h, _ = support_function(np.diag([1.0, -1.0]).astype(complex), 0.0)
-        assert h == pytest.approx(1.0, abs=1e-12)
+        # W(diag(1, −1)) = [−1, 1], so h(θ) = |cos θ|
+        profile = support_profile(np.diag([1.0, -1.0]).astype(complex), 16)
+        assert np.abs(profile.support_values - np.abs(np.cos(profile.angles))).max() < 1e-12
 
     def test_witness_point_respects_support(self):
-        a = demo.DEMO_MATRIX
-        for theta in np.linspace(0, 2 * np.pi, 17):
-            h, witness = support_function(a, theta)
-            z = witness.conj() @ a @ witness
-            assert np.real(np.exp(-1j * theta) * z) == pytest.approx(h, abs=1e-9)
+        profile = support_profile(demo.DEMO_MATRIX, 17)
+        attained = np.real(np.exp(-1j * profile.angles) * profile.boundary_points)
+        assert np.abs(attained - profile.support_values).max() < 1e-9
 
-    @given(seed=st.integers(0, 100), theta=st.floats(0, 2 * np.pi))
+    @given(seed=st.integers(0, 100), n=st.integers(16, 64))
     @settings(max_examples=30, deadline=None)
-    def test_spectrum_contained(self, seed, theta):
+    def test_spectrum_contained(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h, _ = support_function(a, theta)
+        profile = support_profile(a, n)
         eigs = np.linalg.eigvals(a)  # independent nonsymmetric solver as oracle
-        assert np.real(np.exp(-1j * theta) * eigs).max() <= h + 1e-9
+        projections = np.real(np.exp(-1j * profile.angles)[:, None] * eigs[None, :])
+        assert np.all(projections.max(axis=1) <= profile.support_values + 1e-9)
 
 
 def _convexity_defect(points):
@@ -134,20 +153,18 @@ class TestSupportProfile:
 
     def test_minimum_angles_enforced(self):
         with pytest.raises(ValueError):
-            support_values(np.eye(2, dtype=complex), 8)
+            support_profile(np.eye(2, dtype=complex), 8)
 
 
 class TestSupportSweep:
-    """Batched sweeps against the per-angle :func:`support_function`."""
+    """Sweeps against a per-angle ``eigvalsh`` of H(θ) (:func:`eigvalsh_support`)."""
 
     def check_against_per_angle(self, a, n):
         scale = schatten_inf(a)
-        angles, h = support_values(a, n)
         profile = support_profile(a, n)
+        angles = profile.angles
         assert np.array_equal(angles, np.arange(n) * (2 * np.pi / n))
-        assert np.array_equal(profile.angles, angles)
-        reference = np.array([support_function(a, theta)[0] for theta in angles])
-        assert np.abs(h - reference).max() <= 1e-12 * scale
+        reference = np.array([eigvalsh_support(a, theta) for theta in angles])
         assert np.abs(profile.support_values - reference).max() <= 1e-12 * scale
         attained = np.real(np.exp(-1j * angles) * profile.boundary_points)
         assert np.abs(attained - profile.support_values).max() <= 1e-12 * scale
@@ -274,10 +291,7 @@ class TestExtremePairs:
         assert result.verdict == BOUNDARY_WITHIN_TOL
         assert result.n_angles > 17
         assert result.angle == pytest.approx(np.pi / 2, abs=1e-12)
-        # at this exact touch L and U are both rounding noise of size ε‖A‖,
-        # rounded apart, so only their place inside [−tol, tol] is checked
-        tol = MEMBERSHIP_REL_TOL * schatten_inf(a)
-        assert -tol <= result.lower <= tol and -tol <= result.upper <= tol
+        assert_certified(a, result)
 
     def test_near_miss_outside_above_crossover(self):
         # 1e-8·‖A‖ outside: no angle of the 720 grid certifies it
@@ -291,27 +305,30 @@ class TestExtremePairs:
 
 
 class TestUnitaryPolygon:
+    """W(U) is the polygon of U's eigenvalue clusters, ``EigenSystem.representatives()``."""
+
     def test_triangle(self):
-        poly = unitary_range_polygon(unitary_eig(np.diag([1.0, 1j, -1.0])))
-        assert np.allclose(poly.vertices, [1.0, 1j, -1.0], atol=1e-12)
+        vertices = unitary_eig(np.diag([1.0, 1j, -1.0])).representatives()
+        assert np.allclose(vertices, [1.0, 1j, -1.0], atol=1e-12)
 
     def test_identity_single_vertex(self):
-        poly = unitary_range_polygon(unitary_eig(np.eye(3, dtype=complex)))
-        assert poly.vertices.shape == (1,)
-        assert poly.vertices[0] == pytest.approx(1.0, abs=1e-12)
+        vertices = unitary_eig(np.eye(3, dtype=complex)).representatives()
+        assert vertices.shape == (1,)
+        assert vertices[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_demo_triangle_ccw_convex(self):
-        poly = unitary_range_polygon(unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4))
-        assert poly.vertices.shape == (3,)
-        assert _convexity_defect(poly.vertices) >= -1e-12
+        vertices = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4).representatives()
+        assert vertices.shape == (3,)
+        assert _convexity_defect(vertices) >= -1e-12
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_vertices_inside_profile(self, seed):
+        # U is normal, so the sweep's h(θ) is attained at a vertex of the polygon
         u = haar_unitary(5, seed)
-        poly = unitary_range_polygon(unitary_eig(u))
-        angles, h = support_values(u, 512)
-        proj = np.real(np.exp(-1j * angles)[:, None] * poly.vertices[None, :])
-        assert np.all(proj <= h[:, None] + 1e-9)
+        vertices = unitary_eig(u).representatives()
+        profile = support_profile(u, 512)
+        proj = np.real(np.exp(-1j * profile.angles)[:, None] * vertices[None, :])
+        assert np.abs(proj.max(axis=1) - profile.support_values).max() <= 1e-9
 
 
 class TestWidestGap:
@@ -372,12 +389,6 @@ class TestContainsZeroGeneral:
         assert brute_membership(a) == answer
 
 
-def eigvalsh_support(a, theta):
-    """h(θ) by a direct eigvalsh of (e^{−iθ}A + e^{iθ}A†)/2, independent of the sweeps."""
-    herm = (np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T) / 2
-    return float(np.linalg.eigvalsh(herm)[-1])
-
-
 def shifted_to_margin(seed, margin, d=5):
     """A d×d non-normal matrix shifted so that min h = ``margin``·‖A‖.
 
@@ -386,7 +397,7 @@ def shifted_to_margin(seed, margin, d=5):
     keeps θ* a critical point and moves h(θ*) to the target.
     """
     g = ginibre(np.random.default_rng(seed), d)
-    angles, h = support_values(g, 20_001)
+    angles, h = dense_support(g, 20_001)
     k = int(np.argmin(h))
     polished = minimize_scalar(
         lambda t: eigvalsh_support(g, t),
@@ -437,7 +448,7 @@ class TestOriginVerdict:
         # 2048-angle sign test has h > tol, so that test answered `inside`
         a = shifted_to_margin(seed, -1e-6)
         tol = MEMBERSHIP_REL_TOL * schatten_inf(a)
-        assert support_values(a, 2048)[1].min() > tol
+        assert dense_support(a, 2048)[1].min() > tol
         result = origin_verdict(a, support_profile(a))
         assert result.verdict == OUTSIDE
         assert result.n_angles > numrange.ANGLES_DISPLAY
@@ -447,6 +458,15 @@ class TestOriginVerdict:
     def test_margin_within_tol(self, seed):
         a = shifted_to_margin(seed, 0.0)
         result = origin_verdict(a, support_profile(a))
+        assert result.verdict == BOUNDARY_WITHIN_TOL
+        assert_certified(a, result)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_touch_bracket_ordered(self, seed):
+        # W of a Hermitian A is [λ_min, λ_max] ∋ 0, touched at θ = π/2, where
+        # L (Rayleigh quotients) and U (eigenvalues) are both ε‖A‖ rounding noise
+        a = sweep_input("hermitian", 16, seed)
+        result = origin_verdict(a, support_profile(a, 17))
         assert result.verdict == BOUNDARY_WITHIN_TOL
         assert_certified(a, result)
 
@@ -490,7 +510,7 @@ class TestOriginVerdict:
             a = ginibre(np.random.default_rng(int(kind[-1])), 6)
         profile = support_profile(a, n)
         result = origin_verdict(a, profile)
-        dense_min = support_values(a, 65536)[1].min()
+        dense_min = dense_support(a, 65536)[1].min()
         # L is a minimum of chord bounds; 1e-12·‖A‖ absorbs eigensolver rounding
         assert result.lower <= dense_min + 1e-12 * schatten_inf(a)
         assert_certified(a, result)
@@ -518,21 +538,27 @@ class TestOriginVerdict:
 
 
 class TestDistanceToZero:
+    """dist(0, W(A)) = max(0, −min h), with min h the upper end of the verdict's bracket."""
+
+    @staticmethod
+    def distance(a, n=numrange.ANGLES_DISPLAY):
+        return max(0.0, -origin_verdict(a, support_profile(a, n)).upper)
+
     def test_identity(self):
-        assert distance_to_zero(np.eye(3, dtype=complex)) == pytest.approx(1.0, abs=1e-9)
+        assert self.distance(np.eye(3, dtype=complex)) == pytest.approx(1.0, abs=1e-9)
 
     def test_segment_geometry(self):
-        d = distance_to_zero(np.diag([1.0, 1j]))
+        d = self.distance(np.diag([1.0, 1j]))
         assert d == pytest.approx(np.sqrt(2) / 2, abs=1e-6)
 
     def test_inside_returns_zero(self):
         u = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-        assert distance_to_zero(u) == 0.0
+        assert self.distance(u) == 0.0
 
     def test_decreases_along_demo_push(self):
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
         dists = [
-            distance_to_zero(perturbed_unitary(demo.DEMO_MATRIX, gen, t), 1024)
+            self.distance(perturbed_unitary(demo.DEMO_MATRIX, gen, t), 1024)
             for t in np.linspace(0.0, 1.45, 12)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
@@ -540,10 +566,10 @@ class TestDistanceToZero:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_refinement_bounded_by_modulus(self, seed):
-        # doubling the grid moves the sampled distance by at most the
+        # doubling the grid moves the sampled min h by at most the
         # support-function modulus bound R * (grid spacing) / 2
         rng = np.random.default_rng(seed)
         u = haar_unitary(int(rng.integers(2, 9)), rng)
-        d1 = distance_to_zero(u, 2048)
-        d2 = distance_to_zero(u, 4096)
-        assert abs(d1 - d2) <= schatten_inf(u) * (2 * np.pi / 2048) / 2
+        h1 = support_profile(u, 2048).support_values.min()
+        h2 = support_profile(u, 4096).support_values.min()
+        assert abs(h1 - h2) <= schatten_inf(u) * (2 * np.pi / 2048) / 2

@@ -8,7 +8,6 @@ from nrsteer.linalg import EigenspaceIsometry, schatten_inf, unitary_eig
 from nrsteer.perturb import (
     PerturbationGenerator,
     compress_generator,
-    exact_velocity,
     first_order_eigenvalue,
     perturbation_matrix,
     perturbed_unitary,
@@ -200,20 +199,16 @@ class TestStationarity:
 
 
 class TestExactVelocity:
+    """The exact velocities ±i·λ·Σ p_i |x_i|² that ``track_trajectory`` records."""
+
     def test_uniform_weights(self):
-        u = haar_unitary(4, 18)
-        system = unitary_eig(u)
-        v = exact_velocity(system.values[0], system.vectors[:, 0], np.full(4, 0.25))
-        assert v == pytest.approx(0.25j * system.values[0], abs=1e-12)
+        record = track_trajectory(haar_unitary(4, 18), uniform_gen(4), t_end=0.5)
+        assert np.abs(record.velocities - 0.25j * record.paths).max() < 1e-12
 
     def test_speed_budget(self):
-        u = haar_unitary(5, 19)
-        system = unitary_eig(u)
-        p = np.random.default_rng(19).dirichlet(np.ones(5))
-        total = sum(
-            abs(exact_velocity(system.values[j], system.vectors[:, j], p)) for j in range(5)
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
+        gen = PerturbationGenerator(p=np.random.default_rng(19).dirichlet(np.ones(5)))
+        record = track_trajectory(haar_unitary(5, 19), gen, t_end=1.0)
+        assert np.abs(np.abs(record.velocities).sum(axis=0) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("seed", [20, 21])
     def test_matches_finite_difference(self, seed):
@@ -224,25 +219,10 @@ class TestExactVelocity:
         h = 1e-4
         t = 0.5
         fd = fd_velocity(u, gen, t, h)
-        system = unitary_eig(perturbed_unitary(u, gen, t), unitarity_tol=1e-9)
-        # match analytic velocities to the fd paths through eigenvalue positions
-        record_vals = np.array(
-            [system.values[np.argmin(np.abs(system.values - z))] for z in _paths_at(u, gen, t)]
-        )
-        exact = np.array(
-            [
-                exact_velocity(
-                    system.values[j], system.vectors[:, j], gen.p, gen.direction
-                )
-                for j in (np.argmin(np.abs(system.values - z)) for z in record_vals)
-            ]
-        )
-        assert np.abs(fd - exact).max() < 10 * h**2
-
-
-def _paths_at(u, gen, t):
-    record = track_trajectory(u, gen, t_end=t, checkpoints=(t,))
-    return record.paths[:, -1]
+        # both tracks keep the initial ccw labels, so path j is the same eigenvalue
+        record = track_trajectory(u, gen, t_end=t)
+        assert record.t_grid[-1] == pytest.approx(t, abs=1e-12)
+        assert np.abs(fd - record.velocities[:, -1]).max() < 10 * h**2
 
 
 class TestTrackTrajectory:
