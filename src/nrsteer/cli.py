@@ -138,9 +138,9 @@ def _load_matrix(args) -> tuple[np.ndarray, dict]:
 
 
 def _digest(matrix: np.ndarray) -> str:
-    payload = ",".join(
-        f"{iofmt.format_float(z.real)}:{iofmt.format_float(z.imag)}" for z in matrix.ravel()
-    )
+    """SHA-256 of the entries as ``re:im`` pairs in ``iofmt.format_float``'s ``.17g`` form."""
+    pairs = zip(matrix.real.ravel().tolist(), matrix.imag.ravel().tolist())
+    payload = ",".join(["%.17g:%.17g" % pair for pair in pairs])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -224,12 +224,27 @@ def widest_gap(system: EigenSystem) -> tuple[float, int, int]:
     closes ccw at cluster ``end`` (indices into ``system.groups``).  The wrap
     gap across ±π counts; a single cluster has one gap of 2π onto itself.
     """
-    args = np.angle(system.representatives())
+    return _widest_arc(np.angle(system.representatives()))
+
+
+def _widest_arc(args: np.ndarray) -> tuple[float, int, int]:
+    """Widest ccw gap between the points e^{i·args}, with args in one 2π window.
+
+    Returns ``(gap, start, end)`` as in :func:`widest_gap`, with ``start`` and
+    ``end`` indices into ``args``.
+    """
     order = np.argsort(args, kind="stable")
     sorted_args = args[order]
     gaps = np.diff(np.concatenate([sorted_args, [sorted_args[0] + 2 * np.pi]]))
     k = int(np.argmax(gaps))
     return float(gaps[k]), int(order[k]), int(order[(k + 1) % len(order)])
+
+
+def _gap_verdict(gap: float, gap_tol: float = BOUNDARY_GAP_TOL) -> str:
+    """Gap test on a widest arc gap: within ``gap_tol`` of π the origin lies on the boundary."""
+    if abs(gap - np.pi) <= gap_tol:
+        return ON_BOUNDARY
+    return OUTSIDE if gap > np.pi else INSIDE
 
 
 def contains_zero_unitary(system: EigenSystem, gap_tol: float = BOUNDARY_GAP_TOL) -> str:
@@ -240,10 +255,7 @@ def contains_zero_unitary(system: EigenSystem, gap_tol: float = BOUNDARY_GAP_TOL
     """
     if len(system.groups) == 1:
         return OUTSIDE
-    gap, _, _ = widest_gap(system)
-    if abs(gap - np.pi) <= gap_tol:
-        return ON_BOUNDARY
-    return OUTSIDE if gap > np.pi else INSIDE
+    return _gap_verdict(widest_gap(system)[0], gap_tol)
 
 
 def _cell_lower_bounds(angles: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -330,7 +330,9 @@ def track_trajectory(
     while t < t_end - 1e-15:
         upcoming = next((m for m in marks if m > t + 1e-15), None)
         limit = min(t_end, upcoming) if upcoming is not None else t_end
-        t_try = min(t + step, limit)
+        t_try = t + step
+        if t_try >= limit - 1e-15:  # land on the checkpoint or t_end itself, not an ulp short
+            t_try = limit
 
         # U·V(t) only rescales the columns of the checked U: no re-check
         moved = _unitary_eig(perturbed_unitary(u, gen, t_try), cluster_tol=cluster_tol)

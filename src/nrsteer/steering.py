@@ -13,20 +13,50 @@ Given a unitary U whose numerical range misses 0, the planner
    a probe at t + ``tol_t`` closes the bracket, and
 4. reports the minimal time together with the perturbation cost
    ‖1 − V(t*)‖∞ = 2·max_i |sin(p_i t*/2)|.
+
+The search takes only one-hot generators p = e_i, the only kind step 2
+picks.  Then V(t) − 1 has rank one, and the eigenangles φ of U·V(t) are the
+roots of the secular equation Σ_j w_j·cot((φ − θ_j)/2) = cot(±t/2), where
+θ_j are the eigenangles of U and w_j = |X[i, j]|² its speed profile column
+(Bunch, Nielsen & Sorensen, Numer. Math. 31 (1978); Gragg & Reichel, Numer.
+Math. 57 (1990)).  There is one root between each pair of neighbouring θ_j,
+and LAPACK ``dlasd4`` finds each one after a Cayley map turns the equation
+into a real rank-one secular equation (:class:`_OneHotSpectrum`).  So a plan
+makes one eigendecomposition, of U, and no margin evaluation solves an
+eigenproblem.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .linalg import RELAXED_UNITARITY_TOL, EigenSystem, _unitary_eig, check_unitary
-from .numrange import INSIDE, ON_BOUNDARY, OUTSIDE, contains_zero_unitary, widest_gap
-from .perturb import CCW, CW, PerturbationGenerator, angular_speeds, perturbed_unitary
+from .linalg import (
+    RELAXED_UNITARITY_TOL,
+    EigendecompositionError,
+    EigenSystem,
+    _unitary_eig,
+    check_unitary,
+)
+from .numrange import (
+    INSIDE,
+    ON_BOUNDARY,
+    OUTSIDE,
+    _gap_verdict,
+    _widest_arc,
+    contains_zero_unitary,
+    widest_gap,
+)
+from .perturb import CCW, CW, PerturbationGenerator, angular_speeds
 
 # margin evaluations per search; isolated d = 2 touches have needed fewer than 800
 MAX_MARGIN_EVALS = 100_000
+# an eigenvalue whose weight |⟨e_i|x⟩|² is at most this stays fixed: dropping it
+# moves U·V(t) by O(|⟨e_i|x⟩|) = O(eps) in norm, and dlasd4 fails on a vanishing z_j
+DEFLATION_TOL = np.finfo(float).eps ** 2
 
 REACHED_INTERIOR = "reached_interior"
 REACHED_BOUNDARY = "reached_boundary"
@@ -99,6 +129,93 @@ def select_generator(
     return PerturbationGenerator(p=p, direction=direction), (a, b)
 
 
+class _CayleyFrame:
+    """The secular equation of the moving eigenvalues, in one Cayley chart.
+
+    With X = cot((φ − c)/2) and Y_j = cot((θ_j − c)/2) for a centre c in U's
+    widest gap, cot((φ − θ_j)/2) = (1 + Y_j²)/(Y_j − X) − Y_j, so the roots
+    solve Σ_j z_j²/(Y_j − X) = cot(phase/2) + Σ_j w_j·Y_j =: R with
+    z_j² = w_j(1 + Y_j²): one X between neighbouring Y_j and one outside
+    them, below min Y when R > 0 and above max Y when R < 0.  Reflected so
+    that this outer root lies above, and shifted by the nearest end, that is
+    the equation of the squared singular values σ² of diag(D) + ρ·ẑẑᵀ with
+    D_j² = |Y_j − end|, ‖ẑ‖ = 1 and ρ = ‖z‖²/|R|, which ``dlasd4`` solves.
+    """
+
+    def __init__(self, angles: np.ndarray, weights: np.ndarray, center: float):
+        self.center = center
+        poles = 1 / np.tan((angles - center) / 2)
+        order = np.argsort(poles)
+        poles, weights = poles[order], weights[order]
+        z2 = weights * (1 + poles**2)
+        self.norm2 = float(z2.sum())
+        self.offset = float(weights @ poles)
+        z = np.sqrt(z2 / self.norm2)
+        self.ends = (float(poles[0]), float(poles[-1]))
+        # R < 0: D_j² = Y_j − min Y ascending; R > 0: D_j² = max Y − Y_j, Y descending
+        self.up = (np.sqrt(poles - poles[0]), z)
+        self.down = (np.sqrt(poles[-1] - poles[::-1]), z[::-1])
+
+    def roots(self, r: float, t: float) -> np.ndarray:
+        """Angles of the moving eigenvalues for right-hand side R = ``r`` at time ``t``."""
+        if r < 0:
+            (d, z), end, sign = self.up, self.ends[0], 1.0
+        else:
+            (d, z), end, sign = self.down, self.ends[1], -1.0
+        rho = self.norm2 / abs(r)
+        sigma = np.empty(len(d))
+        for k in range(len(d)):
+            _, sigma[k], _, info = lapack.dlasd4(k, d, z, rho)
+            if info != 0:
+                raise EigendecompositionError(f"LAPACK dlasd4 failed with info {info} at t = {t!r}")
+        return self.center + 2 * np.arctan2(1.0, end + sign * sigma**2)
+
+
+class _OneHotSpectrum:
+    """Eigenangles of U·V(t), V(t) = exp(i·speed·t·e_i e_iᵀ), from the eigensystem of U.
+
+    Deflation comes first.  A cluster of ``system.groups`` moves as one
+    eigenvalue, at its representative angle, with the summed weight
+    w = Σ |X[i, j]|² of its members: the component of e_i in its eigenspace
+    is the only direction V(t) acts on, so the other m − 1 copies stay
+    fixed, as does a whole cluster of weight at most ``DEFLATION_TOL``.  A
+    single moving eigenvalue turns rigidly by speed·t.  Otherwise the moving
+    roots come from the :class:`_CayleyFrame` centred on the middle of U's
+    widest gap, or from one a quarter gap further on when that gives the
+    larger |R|/‖z‖²: R = 0 puts a root on the centre, out of dlasd4's reach.
+    """
+
+    def __init__(self, system: EigenSystem, i: int, speed: float):
+        angles = np.angle(system.representatives())
+        sizes = np.array([len(g) for g in system.groups])
+        w = np.abs(system.vectors[i]) ** 2
+        weights = np.array([w[list(g)].sum() for g in system.groups])
+        moving = weights > DEFLATION_TOL
+        self.speed = speed
+        self.fixed = np.repeat(angles, sizes - moving)
+        self.moving = angles[moving]
+        self.frames = ()
+        if len(self.moving) > 1:
+            gap, start, _ = widest_gap(system)
+            center = angles[start] + gap / 2
+            self.frames = tuple(
+                _CayleyFrame(self.moving, weights[moving], c) for c in (center, center + gap / 4)
+            )
+
+    def angles(self, t: float) -> np.ndarray:
+        """Eigenangles of U·V(t) in [0, 2π), with multiplicity, in no particular order."""
+        phase = self.speed * t
+        if math.sin(phase / 2) == 0:
+            moved = self.moving
+        elif not self.frames:
+            moved = self.moving + phase
+        else:
+            cot_half = 1 / math.tan(phase / 2)
+            frame = max(self.frames, key=lambda f: abs(cot_half + f.offset) / f.norm2)
+            moved = frame.roots(cot_half + frame.offset, t)
+        return np.mod(np.concatenate([self.fixed, moved]), 2 * np.pi)
+
+
 def min_time_search(
     u: np.ndarray, gen: PerturbationGenerator, t_horizon: float, tol_t: float
 ) -> tuple[float | None, str]:
@@ -107,23 +224,35 @@ def min_time_search(
     Returns ``(t_star, verdict)``: 0 lies in the range at ``t_star`` and is
     certified outside it at every t < ``t_star − tol_t``; ``t_star = None``
     when the certified steps cover the horizon.  Checks U at :func:`plan`'s
-    default tolerance first.
+    default tolerance first.  ``gen`` must be one-hot (p = e_i), as the
+    generators of :func:`select_generator` are; any other p raises
+    ``ValueError``.
     """
-    return _min_time_search(check_unitary(u, tol=RELAXED_UNITARITY_TOL), gen, t_horizon, tol_t)
+    u = check_unitary(u, tol=RELAXED_UNITARITY_TOL)
+    return _min_time_search(_unitary_eig(u), gen, t_horizon, tol_t)
 
 
 def _min_time_search(
-    u: np.ndarray, gen: PerturbationGenerator, t_horizon: float, tol_t: float
+    system: EigenSystem, gen: PerturbationGenerator, t_horizon: float, tol_t: float
 ) -> tuple[float | None, str]:
-    """:func:`min_time_search` without the unitarity check."""
+    """:func:`min_time_search` on the eigensystem of a checked U."""
     if t_horizon <= 0:
         raise ValueError(f"t_horizon must be positive, got {t_horizon}")
     if tol_t <= 0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
+    if gen.p.shape[0] != system.dim:
+        raise ValueError(
+            f"dimension mismatch: U is {system.dim}×{system.dim}, p has {gen.p.shape[0]} entries"
+        )
+    (support,) = np.nonzero(gen.p)
+    if len(support) != 1:
+        raise ValueError(f"the t* search needs a one-hot p = e_i, got p = {gen.p.tolist()}")
+    i = int(support[0])
+    spectrum = _OneHotSpectrum(system, i, gen.sign * gen.p[i])
 
     def margin_at(t: float) -> tuple[float, str]:
-        system = _unitary_eig(perturbed_unitary(u, gen, t))
-        return widest_gap(system)[0] - np.pi, contains_zero_unitary(system)
+        gap = _widest_arc(spectrum.angles(t))[0]
+        return gap - np.pi, _gap_verdict(gap)
 
     t, evals = 0.0, 0
     while True:
@@ -162,7 +291,7 @@ def plan(
     u = check_unitary(u, tol=unitarity_tol)
     system = _unitary_eig(u)
     gen, gap = select_generator(system, speed_profile(system))
-    t_star, verdict = _min_time_search(u, gen, t_horizon, tol_t)
+    t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t)
     norm = perturbation_cost(gen.p, t_star) if t_star is not None else None
     return SteeringPlan(
         p=gen.p,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -130,6 +131,23 @@ class TestSteerCommand:
         assert report["input"]["sha256"]
         assert set(report["settings"]) == {"horizon", "tol_t", "unitarity_tol"}
 
+    def test_digest_bytes_unchanged(self):
+        # the report's sha256 hashes every entry as format_float(re):format_float(im)
+        m = np.empty((2, 3), dtype=complex)
+        m.real = [[-0.0, 5e-324, 1e308], [7.0, 0.1, -1.7976931348623157e308]]
+        m.imag = [[0.0, -2.2250738585072009e-308, 3.0], [-0.0, 1 / 3, 1e-300]]
+        payload = ",".join(
+            f"{iofmt.format_float(z.real)}:{iofmt.format_float(z.imag)}" for z in m.ravel()
+        )
+        assert payload.startswith("-0:0,4.9406564584124654e-324:") and ",7:-0," in payload
+        expected = hashlib.sha256(payload.encode()).hexdigest()
+        assert cli._digest(m) == expected
+        assert cli._digest(m.T) == hashlib.sha256(
+            ",".join(
+                f"{iofmt.format_float(z.real)}:{iofmt.format_float(z.imag)}" for z in m.T.ravel()
+            ).encode()
+        ).hexdigest()
+
     def test_nothing_to_steer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "roots.json"
         iofmt.write_matrix(path, np.diag(np.exp(2j * np.pi * np.arange(3) / 3)))
@@ -197,6 +215,20 @@ class TestTrajectoryCommand:
         last = rows[-1].split(",")
         assert float(last[0]) == pytest.approx(1.0)
         assert float(last[4]) == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_last_rows_at_horizon(self, demo_file, tmp_path):
+        # ten steps of 0.05 add up to 0.49999999999999994; the grid must end at 0.5
+        code = run_cli(
+            "trajectory",
+            "--input", demo_file,
+            "--out-dir", str(tmp_path),
+            "--p", "0.3,0.3,0.4",
+            "--horizon", "0.5",
+        )
+        assert code == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows[-3:]] == ["0.5"] * 3
+        assert all(float(row.split(",")[0]) <= 0.5 for row in rows)
 
     def test_demo_monotone_clockwise(self, demo_file, tmp_path):
         code = run_cli(

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrsteer import demo, steering
-from nrsteer.linalg import schatten_inf, unitary_eig
+from nrsteer import demo, linalg, perturb, steering
+from nrsteer.linalg import EigendecompositionError, EigenSystem, schatten_inf, unitary_eig
 from nrsteer.numrange import (
     BOUNDARY_GAP_TOL,
     BOUNDARY_WITHIN_TOL,
@@ -24,7 +26,7 @@ from nrsteer.steering import (
     select_generator,
     speed_profile,
 )
-from nrsteer.testkit import haar_unitary
+from nrsteer.testkit import degenerate_fixture, haar_unitary
 
 DEMO_SYSTEM = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4)
 
@@ -40,6 +42,27 @@ def conditioned_unitary(d, seed):
     rng = np.random.default_rng(seed)
     x = haar_unitary(d, rng)
     return (x * np.exp(1j * rng.uniform(-1.2, 1.2, d))) @ x.conj().T
+
+
+def circle_distance(a, b):
+    """Largest arc between two equal-size angle multisets, matched in ccw order."""
+    a, b = np.sort(np.mod(a, 2 * np.pi)), np.sort(np.mod(b, 2 * np.pi))
+    return min(
+        float(np.abs(np.angle(np.exp(1j * (a - np.roll(b, k))))).max()) for k in range(len(b))
+    )
+
+
+def secular_angles(system, i, direction, t):
+    """Eigenangles of U·V(t) under the push e_i, from the secular route."""
+    speed = 1.0 if direction == "ccw" else -1.0
+    return steering._OneHotSpectrum(system, i, speed).angles(t)
+
+
+def reference_angles(u, i, direction, t):
+    p = np.zeros(u.shape[0])
+    p[i] = 1.0
+    gen = PerturbationGenerator(p=p, direction=direction)
+    return np.angle(np.linalg.eigvals(perturbed_unitary(u, gen, t)))
 
 
 class TestSpeedProfile:
@@ -129,6 +152,127 @@ class TestMinTimeSearch:
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
         with pytest.raises(RuntimeError, match=r"at t = .* with m\(t\) = "):
             min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+
+
+    def test_rejects_generator_not_one_hot(self):
+        gen = PerturbationGenerator(p=np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="one-hot"):
+            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+
+    def test_rejects_dimension_mismatch(self):
+        gen = PerturbationGenerator(p=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+
+    def test_dlasd4_failure_raises(self, monkeypatch):
+        class FailingLapack:
+            @staticmethod
+            def dlasd4(i, d, z, rho):
+                return np.zeros_like(d), np.nan, np.zeros_like(d), 1
+
+        monkeypatch.setattr(steering, "lapack", FailingLapack)
+        gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
+        with pytest.raises(EigendecompositionError, match=r"dlasd4 failed with info 1 at t = "):
+            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+
+
+class TestSecularRoots:
+    """Eigenangles of U·V(t) from U's eigensystem against numpy ``eigvals`` of U·V(t)."""
+
+    @pytest.mark.parametrize("d", range(1, 20))
+    def test_matches_eigvals(self, d):
+        # an exact eigensystem, so the comparison sees the root solver alone
+        rng = np.random.default_rng(100 + d)
+        for _ in range(3):
+            x = haar_unitary(d, rng)
+            theta = np.sort(rng.uniform(-np.pi, np.pi, d))
+            u = (x * np.exp(1j * theta)) @ x.conj().T
+            system = EigenSystem(np.exp(1j * theta), x, tuple((j,) for j in range(d)))
+            i = int(rng.integers(d))
+            for direction in ("ccw", "cw"):
+                for t in (1e-9, 1e-3, np.pi - 1e-9, np.pi, 2.0, 2 * np.pi - 1e-7, 2 * np.pi, 9.5):
+                    got = secular_angles(system, i, direction, t)
+                    assert circle_distance(got, reference_angles(u, i, direction, t)) <= 1e-12
+
+    def test_root_on_the_chart_centre(self):
+        # where the first chart's R is exactly 0, a root sits on the middle of
+        # U's widest gap, at X = ±∞, and that chart cannot place it
+        def exact_zero(seed):
+            spectrum = steering._OneHotSpectrum(unitary_eig(conditioned_unitary(6, seed)), 2, 1.0)
+            first = spectrum.frames[0]
+            t = 2 * np.arctan2(1.0, -first.offset)
+            for step in range(-60, 61):
+                t_k = t + step * np.spacing(t)
+                if 1 / math.tan(t_k / 2) + first.offset == 0.0:
+                    return seed, spectrum, t_k
+            return None
+
+        seed, spectrum, t = next(filter(None, map(exact_zero, range(200))))
+        angles = spectrum.angles(t)
+        u = conditioned_unitary(6, seed)
+        assert circle_distance(angles, reference_angles(u, 2, "ccw", t)) <= 1e-12
+        centre = spectrum.frames[0].center
+        assert np.abs(np.angle(np.exp(1j * (angles - centre)))).min() <= 1e-12
+
+    def test_unperturbed_at_zero(self):
+        system = unitary_eig(conditioned_unitary(5, 4))
+        assert np.array_equal(
+            np.sort(secular_angles(system, 1, "cw", 0.0)),
+            np.sort(np.mod(np.angle(system.values), 2 * np.pi)),
+        )
+
+    def test_diagonal_moves_one_eigenvalue(self):
+        # weights are 0 or 1: every eigenvalue but the pushed one deflates
+        theta = np.array([0.3, 1.1, -2.0, 2.9])
+        u = np.diag(np.exp(1j * theta))
+        for i in range(4):
+            for direction, sign in (("ccw", 1.0), ("cw", -1.0)):
+                expected = theta.copy()
+                expected[i] += sign * 1.7
+                got = secular_angles(unitary_eig(u), i, direction, 1.7)
+                assert circle_distance(got, expected) <= 1e-14
+
+    def test_identity_and_one_dimension(self):
+        for d in (1, 3):
+            got = secular_angles(unitary_eig(np.eye(d, dtype=complex)), 0, "ccw", 2.5)
+            assert circle_distance(got, [2.5] + [0.0] * (d - 1)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_cluster(self, seed):
+        # a k-fold eigenvalue moves as one with the cluster's summed weight; its
+        # other k − 1 copies stay, as eigvals of U·V(t) shows
+        fixture = degenerate_fixture(6, 3, 1, seed=seed)
+        system = unitary_eig(fixture.matrix)
+        assert max(len(g) for g in system.groups) == 3
+        residual = np.abs(fixture.matrix @ system.vectors - system.vectors * system.values).max()
+        i = int(np.argmax(fixture.p))
+        for direction in ("ccw", "cw"):
+            for t in (0.4, np.pi, 5.0):
+                got = secular_angles(system, i, direction, t)
+                ref = reference_angles(fixture.matrix, i, direction, t)
+                # the roots are exact for U's computed eigensystem, which is
+                # off from U by its residual
+                assert circle_distance(got, ref) <= 1e-12 + 4 * residual
+                fixed = np.abs(np.angle(np.exp(1j * got) / fixture.eigenvalue)) <= 1e-12
+                assert fixed.sum() >= 2
+
+    def test_plan_eigensolves_once(self, monkeypatch):
+        calls = []
+        real = linalg._unitary_eig
+
+        def counting(u, *args, **kwargs):
+            calls.append(u.shape)
+            return real(u, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("perturbed_unitary called")
+
+        monkeypatch.setattr(steering, "_unitary_eig", counting)
+        monkeypatch.setattr(linalg, "_unitary_eig", counting)
+        monkeypatch.setattr(perturb, "perturbed_unitary", forbidden)
+        result = plan(conditioned_unitary(16, 2))
+        assert result.t_star is not None
+        assert calls == [(16, 16)]
 
 
 class TestPerturbationCost:
