@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Steering-cost survey over Haar-random unitaries.
+"""Steering-cost survey over conditioned random unitaries.
 
-For each dimension, draws random unitaries whose numerical range misses the
-origin and plans the minimal one-hot diagonal-phase push; reports how the
-steering time t* and the perturbation norm distribute.  Writes a CSV next to
-a console summary.
+For each dimension, draws unitaries with a Haar eigenbasis and eigenvalues in
+an arc shorter than π (``testkit.conditioned_unitary``), so the numerical
+range misses the origin, and plans the minimal one-hot diagonal-phase push;
+reports how the steering time t* and the perturbation norm distribute.
+Writes a CSV next to a console summary.
 """
 
 import argparse
@@ -12,33 +13,16 @@ import os
 
 import numpy as np
 
-from nrsteer.linalg import unitary_eig
-from nrsteer.numrange import OUTSIDE, contains_zero_unitary
 from nrsteer.steering import plan
-from nrsteer.testkit import haar_unitary
-
-# Rejection sampling gives up after this many draws per dimension: the origin
-# lies outside W(U) for about 5% of Haar draws at d = 4 and almost never from d = 6.
-MAX_DRAWS_PER_DIM = 20_000
+from nrsteer.testkit import conditioned_unitary
 
 
 def survey(dims, per_dim, seed, horizon):
     rng = np.random.default_rng(seed)
     rows = []
     for d in dims:
-        found = draws = 0
-        while found < per_dim:
-            if draws == MAX_DRAWS_PER_DIM:
-                raise SystemExit(
-                    f"error: d={d}: found {found} of {per_dim} unitaries with 0 outside "
-                    f"the numerical range in {draws} Haar draws"
-                )
-            draws += 1
-            u = haar_unitary(d, rng)
-            if contains_zero_unitary(unitary_eig(u)) != OUTSIDE:
-                continue
-            found += 1
-            result = plan(u, t_horizon=horizon, tol_t=1e-3)
+        for _ in range(per_dim):
+            result = plan(conditioned_unitary(d, rng), t_horizon=horizon, tol_t=1e-3)
             rows.append(
                 (
                     d,

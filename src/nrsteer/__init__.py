@@ -40,7 +40,6 @@ from .perturb import (  # noqa: E402
     TrajectoryRecord,
     compress_generator,
     first_order_eigenvalue,
-    perturbation_matrix,
     perturbed_unitary,
     simple_velocity,
     stationarity_certificate,
@@ -58,6 +57,7 @@ from .steering import (  # noqa: E402
 from .testkit import (  # noqa: E402
     Fixture,
     brute_membership,
+    conditioned_unitary,
     degenerate_fixture,
     fd_velocity,
     haar_unitary,

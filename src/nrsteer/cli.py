@@ -36,7 +36,7 @@ from .perturb import (
     perturbed_unitary,
     track_trajectory,
 )
-from .steering import NothingToSteerError, perturbation_cost, plan, speed_profile
+from .steering import NothingToSteerError, _plan, perturbation_cost, plan, speed_profile
 from .verify import run_all
 
 EXIT_OK = 0
@@ -289,7 +289,7 @@ def _cmd_example(args) -> int:
         ("speed-profile-entries", rows_ok and named, f"rows_ok={rows_ok} named_entries={named}")
     )
 
-    result = plan(matrix, t_horizon=2 * math.pi, tol_t=1e-3)
+    result = _plan(system, t_horizon=2 * math.pi, tol_t=1e-3)
     gen_ok = bool(
         np.array_equal(result.p, demo.REFERENCE_P) and result.direction == demo.REFERENCE_DIRECTION
     )

@@ -6,11 +6,14 @@ instead of being wrapped in dedicated classes, once: callers that already
 hold a checked unitary use the unchecked core ``_unitary_eig``; structured results
 (:class:`EigenSystem`, :class:`EigenspaceIsometry`) are frozen dataclasses.
 
-The unitary eigendecomposition deliberately avoids the nonsymmetric QR
-algorithm: a unitary U is normal, so its Hermitian part A = (U + U†)/2 and
-anti-Hermitian part B = (U − U†)/(2i) commute and can be diagonalized jointly
-by two symmetric eigenproblems (diagonalize A, then the compression of B
-inside each degenerate eigenspace of A).
+The unitary eigendecomposition starts from a symmetric eigenproblem: a
+unitary U is normal, so it commutes with its Hermitian part A = (U + U†)/2
+and every eigenspace of A is invariant under U.  Eigenvalues e^{±iθ} mirrored
+across the real axis share the A-eigenvalue cos θ, so the eigenvectors of A
+for nearby eigenvalues mix by about eps/gap.  A run of A-eigenvalues closer
+than ``A_RUN_GAP`` is therefore resolved together, by the complex Schur form
+of the compression of U onto its span, which is diagonal for a normal matrix
+and backward stable however close the eigenvalues in the run lie.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 UNITARITY_TOL = 1e-10        # construction-time unitarity check
 RELAXED_UNITARITY_TOL = 1e-4  # for matrices ingested from low-precision text
 HERM_TOL = 1e-12             # relative Hermiticity check
 CLUSTER_TOL = 1e-8           # unit-circle distance that merges eigenvalues
 BRANCH_TOL = 1e-8            # distance to -1 that flags the log branch cut
+A_RUN_GAP = 1e-3             # A-eigenvalue spacing below which unitary_eig uses a Schur form
 
 __all__ = [
     "UNITARITY_TOL",
@@ -82,12 +87,12 @@ def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     return u
 
 
-def check_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate ``‖H − H†‖∞ ≤ tol·max(1, ‖H‖∞)`` and return H."""
+def check_hermitian(h: np.ndarray) -> np.ndarray:
+    """Validate ``‖H − H†‖∞ ≤ HERM_TOL·max(1, ‖H‖∞)`` and return H."""
     h = as_complex_matrix(h)
     scale = max(1.0, float(np.abs(h).max()))
     defect = schatten_inf(h - h.conj().T)
-    if defect > tol * scale:
+    if defect > HERM_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     return h
 
@@ -158,9 +163,6 @@ class EigenSystem:
                 reps.append(m / abs(m) if abs(m) > 0 else self.values[g[0]])
         return np.array(reps)
 
-    def multiplicity(self, group_index: int) -> int:
-        return len(self.groups[group_index])
-
     def isometry(self, group_index: int) -> "EigenspaceIsometry":
         """Orthonormal-column isometry spanning the cluster's eigenspace."""
         g = list(self.groups[group_index])
@@ -174,10 +176,6 @@ class EigenspaceIsometry:
 
     columns: np.ndarray
     eigenvalue: complex
-
-    @property
-    def multiplicity(self) -> int:
-        return self.columns.shape[1]
 
 
 def _cluster_on_circle(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -195,21 +193,19 @@ def _cluster_on_circle(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def unitary_eig(
-    u: np.ndarray,
-    unitarity_tol: float = UNITARITY_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-) -> EigenSystem:
+def unitary_eig(u: np.ndarray, unitarity_tol: float = UNITARITY_TOL) -> EigenSystem:
     """Spectral decomposition of a unitary matrix, ccw-ordered.
 
-    Checks unitarity within ``unitarity_tol``, then diagonalizes A = (U + U†)/2 by a symmetric eigensolve, then resolves each
-    degenerate A-eigenspace by diagonalizing the compression of
-    B = (U − U†)/(2i) inside it; eigenvalues recombine as λ = ⟨x|A|x⟩ + i⟨x|B|x⟩.
+    Checks unitarity within ``unitarity_tol``, then diagonalizes
+    A = (U + U†)/2 by a symmetric eigensolve, then resolves each run of
+    A-eigenvalues spaced by at most ``A_RUN_GAP`` by the complex Schur form of
+    the compression of U onto the run's eigenvectors; eigenvalues recombine as
+    λ = ⟨x|A|x⟩ + i⟨x|B|x⟩ with B = (U − U†)/(2i).
     """
-    return _unitary_eig(check_unitary(u, tol=unitarity_tol), cluster_tol)
+    return _unitary_eig(check_unitary(u, tol=unitarity_tol))
 
 
-def _unitary_eig(u: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem:
+def _unitary_eig(u: np.ndarray) -> EigenSystem:
     """:func:`unitary_eig` without the unitarity check.
 
     For callers that hold a checked U, or a matrix built from checked ones
@@ -220,19 +216,17 @@ def _unitary_eig(u: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem
     b_part = (u - u.conj().T) / 2j
     a_vals, x = _herm_eig(a_part)
 
-    # resolve A-degenerate subspaces with the compression of B
+    # resolve each run of close A-eigenvalues with the Schur form of U on its span
     cols: list[np.ndarray] = []
     i = 0
     while i < d:
         j = i
-        while j + 1 < d and a_vals[j + 1] - a_vals[j] <= 1e-8:
+        while j + 1 < d and a_vals[j + 1] - a_vals[j] <= A_RUN_GAP:
             j += 1
         block = x[:, i : j + 1]
         if j > i:
-            comp = block.conj().T @ b_part @ block
-            comp = (comp + comp.conj().T) / 2
-            _, w = np.linalg.eigh(comp)
-            block = block @ w
+            _, z = schur(block.conj().T @ u @ block, output="complex")
+            block = block @ z
         cols.append(block)
         i = j + 1
     vecs = _fix_column_phases(np.hstack(cols))
@@ -246,7 +240,7 @@ def _unitary_eig(u: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem
     vals = vals[order]
     vecs = vecs[:, order]
 
-    groups = tuple(tuple(g) for g in _cluster_on_circle(vals, cluster_tol))
+    groups = tuple(tuple(g) for g in _cluster_on_circle(vals, CLUSTER_TOL))
     return EigenSystem(values=vals, vectors=vecs, groups=groups)
 
 
@@ -256,9 +250,9 @@ def principal_args(values: np.ndarray) -> np.ndarray:
     return np.where(args <= -np.pi, args + 2 * np.pi, args)
 
 
-def _log_args(values: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
-    """Principal arguments for a logarithm, warning near the branch cut at −1."""
-    if np.any(np.abs(values + 1.0) < branch_tol):
+def _log_args(values: np.ndarray) -> np.ndarray:
+    """Principal arguments for a logarithm; warns within ``BRANCH_TOL`` of the cut at −1."""
+    if np.any(np.abs(values + 1.0) < BRANCH_TOL):
         warnings.warn(
             "eigenvalue at or near -1: the principal logarithm is discontinuous "
             "there; proceeding with argument +pi",
@@ -268,36 +262,27 @@ def _log_args(values: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
     return principal_args(values)
 
 
-def principal_log_unitary(
-    u: np.ndarray,
-    unitarity_tol: float = UNITARITY_TOL,
-    branch_tol: float = BRANCH_TOL,
-) -> np.ndarray:
+def principal_log_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian H with eigenvalues in (−π, π] such that exp(iH) = U.
 
     Eigenvalues at −1 get argument +π and raise :class:`BranchCutWarning`.
     """
-    system = unitary_eig(u, unitarity_tol=unitarity_tol)
-    theta = _log_args(system.values, branch_tol=branch_tol)
+    system = unitary_eig(u)
+    theta = _log_args(system.values)
     h = (system.vectors * theta) @ system.vectors.conj().T
     return (h + h.conj().T) / 2
 
 
-def unitary_exp_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(i·t·H) for Hermitian H, via the symmetric eigendecomposition."""
+def unitary_exp_herm(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for Hermitian H, via the symmetric eigendecomposition."""
     w, x = _herm_eig(check_hermitian(h))
-    return (x * np.exp(1j * t * w)) @ x.conj().T
+    return (x * np.exp(1j * w)) @ x.conj().T
 
 
-def geodesic_point(
-    u: np.ndarray,
-    v: np.ndarray,
-    t: float,
-    unitarity_tol: float = UNITARITY_TOL,
-) -> np.ndarray:
+def geodesic_point(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """Point U·exp(t·Log(U†V)) on the shortest unitary-group curve from U to V."""
-    u = check_unitary(u, tol=unitarity_tol)
-    v = check_unitary(v, tol=unitarity_tol)
+    u = check_unitary(u)
+    v = check_unitary(v)
     system = _unitary_eig(u.conj().T @ v)
     theta = _log_args(system.values)
     x = system.vectors

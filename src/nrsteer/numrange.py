@@ -240,22 +240,22 @@ def _widest_arc(args: np.ndarray) -> tuple[float, int, int]:
     return float(gaps[k]), int(order[k]), int(order[(k + 1) % len(order)])
 
 
-def _gap_verdict(gap: float, gap_tol: float = BOUNDARY_GAP_TOL) -> str:
-    """Gap test on a widest arc gap: within ``gap_tol`` of π the origin lies on the boundary."""
-    if abs(gap - np.pi) <= gap_tol:
+def _gap_verdict(gap: float) -> str:
+    """Gap test on a widest arc gap: within ``BOUNDARY_GAP_TOL`` of π, 0 is on the boundary."""
+    if abs(gap - np.pi) <= BOUNDARY_GAP_TOL:
         return ON_BOUNDARY
     return OUTSIDE if gap > np.pi else INSIDE
 
 
-def contains_zero_unitary(system: EigenSystem, gap_tol: float = BOUNDARY_GAP_TOL) -> str:
+def contains_zero_unitary(system: EigenSystem) -> str:
     """Gap test: 0 lies in the spectral hull iff no arc gap exceeds π.
 
-    The widest gap comes from :func:`widest_gap`; within ``gap_tol`` of π the
-    origin lies on the boundary.
+    The widest gap comes from :func:`widest_gap`; within ``BOUNDARY_GAP_TOL``
+    of π the origin lies on the boundary.
     """
     if len(system.groups) == 1:
         return OUTSIDE
-    return _gap_verdict(widest_gap(system)[0], gap_tol)
+    return _gap_verdict(widest_gap(system)[0])
 
 
 def _cell_lower_bounds(angles: np.ndarray, points: np.ndarray) -> np.ndarray:

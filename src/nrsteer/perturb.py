@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
-    CLUSTER_TOL,
     UNITARITY_TOL,
     EigenSystem,
     EigenspaceIsometry,
@@ -33,6 +32,7 @@ DIRECTIONS = {CCW: CCW, "counterclockwise": CCW, CW: CW, "clockwise": CW}  # ali
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 MIN_TRACK_STEP = 1e-12
+MAX_TRACK_STEP = 0.05
 MAX_ARC_PER_STEP = np.pi / 8
 AMBIGUITY_RATIO = 2.0
 AMBIGUITY_FLOOR = 1e-12
@@ -47,7 +47,6 @@ __all__ = [
     "StationarityCertificate",
     "TrajectoryRecord",
     "TrackingCollisionError",
-    "perturbation_matrix",
     "perturbed_unitary",
     "angular_speeds",
     "simple_velocity",
@@ -85,11 +84,6 @@ class PerturbationGenerator:
     @property
     def sign(self) -> float:
         return _direction_sign(self.direction)
-
-
-def perturbation_matrix(gen: PerturbationGenerator, t: float) -> np.ndarray:
-    """The exactly-diagonal unitary V(t) = exp(±i·t·diag(p))."""
-    return np.diag(np.exp(1j * gen.sign * gen.p * t))
 
 
 def perturbed_unitary(u: np.ndarray, gen: PerturbationGenerator, t: float) -> np.ndarray:
@@ -136,9 +130,7 @@ class CompressedPerturbation:
     compression eigenvectors back into the full space.
     """
 
-    matrix: np.ndarray
     speeds: np.ndarray
-    modes: np.ndarray
     split_vectors: np.ndarray
 
 
@@ -149,18 +141,11 @@ def compress_generator(iso: EigenspaceIsometry, p: np.ndarray) -> CompressedPert
     if cols.shape[1] == 1:
         # 1x1 case delegates to simple_velocity so both speed paths agree exactly
         s = simple_velocity(cols[:, 0], p)
-        return CompressedPerturbation(
-            matrix=np.array([[s + 0j]]),
-            speeds=np.array([s]),
-            modes=np.eye(1, dtype=np.complex128),
-            split_vectors=cols.copy(),
-        )
+        return CompressedPerturbation(speeds=np.array([s]), split_vectors=cols.copy())
     q = cols.conj().T @ (p[:, None] * cols)
     q = (q + q.conj().T) / 2
     speeds, modes = np.linalg.eigh(q)
-    return CompressedPerturbation(
-        matrix=q, speeds=speeds, modes=modes, split_vectors=cols @ modes
-    )
+    return CompressedPerturbation(speeds=speeds, split_vectors=cols @ modes)
 
 
 @dataclass(frozen=True)
@@ -178,17 +163,16 @@ def stationarity_certificate(
     iso: EigenspaceIsometry,
     p: np.ndarray,
     probe_t: float = 1.0,
-    tol: float = STATIONARY_TOL,
 ) -> StationarityCertificate:
     """Decide whether the eigenvalue of ``iso`` stays fixed under U·V(t).
 
-    Stationary iff the compressed weight matrix has a (numerically) zero
-    eigenvalue; the witness I|v_min⟩ is then verified to be an eigenvector of
-    U·V(probe_t) with the original eigenvalue.
+    Stationary iff the compressed weight matrix has an eigenvalue of at most
+    ``STATIONARY_TOL``; the witness I|v_min⟩ is then verified to be an
+    eigenvector of U·V(probe_t) with the original eigenvalue.
     """
     comp = compress_generator(iso, p)
     min_speed = float(comp.speeds[0])
-    if min_speed > tol:
+    if min_speed > STATIONARY_TOL:
         return StationarityCertificate(
             stationary=False, min_speed=min_speed, witness=None, probe_residual=None
         )
@@ -291,32 +275,29 @@ def track_trajectory(
     u: np.ndarray,
     gen: PerturbationGenerator,
     t_end: float,
-    max_step: float = 0.05,
     checkpoints: tuple[float, ...] = (),
     unitarity_tol: float = UNITARITY_TOL,
-    cluster_tol: float = CLUSTER_TOL,
 ) -> TrajectoryRecord:
     """Track the eigenvalues of U·V(t) from t = 0 to ``t_end``.
 
     Each accepted step re-diagonalizes U·V(t) and matches the new eigenvalues
-    to the previous ones by minimum-cost assignment on arc distance.  The step
-    is halved whenever the cheapest matching is ambiguous or any eigenvalue
-    moved more than π/8; underflow below 1e-12 raises
+    to the previous ones by minimum-cost assignment on arc distance.  Steps
+    start at, and never exceed, ``MAX_TRACK_STEP``; a step is halved whenever
+    the cheapest matching is ambiguous or any eigenvalue moved more than π/8;
+    underflow below 1e-12 raises
     :class:`TrackingCollisionError`.  ``checkpoints`` are forced onto the grid.
     U is checked for unitarity once, here: every U·V(t) only rescales its
     columns by unit phases and keeps its unitarity defect.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if max_step <= 0:
-        raise ValueError(f"max_step must be positive, got {max_step}")
     u = check_unitary(u, tol=unitarity_tol)
     d = u.shape[0]
     if gen.p.shape[0] != d:
         raise ValueError("generator dimension does not match the matrix")
 
     marks = sorted({float(c) for c in checkpoints if 0.0 < float(c) <= t_end})
-    system = _unitary_eig(u, cluster_tol=cluster_tol)
+    system = _unitary_eig(u)
 
     ts = [0.0]
     paths = [system.values]
@@ -325,7 +306,7 @@ def track_trajectory(
 
     t = 0.0
     prev_vals = system.values
-    step = max_step
+    step = MAX_TRACK_STEP
 
     while t < t_end - 1e-15:
         upcoming = next((m for m in marks if m > t + 1e-15), None)
@@ -335,7 +316,7 @@ def track_trajectory(
             t_try = limit
 
         # U·V(t) only rescales the columns of the checked U: no re-check
-        moved = _unitary_eig(perturbed_unitary(u, gen, t_try), cluster_tol=cluster_tol)
+        moved = _unitary_eig(perturbed_unitary(u, gen, t_try))
         cost = _arc_distance_matrix(prev_vals, moved.values)
         rows, cols = linear_sum_assignment(cost)
         perm = np.empty(d, dtype=int)
@@ -362,7 +343,7 @@ def track_trajectory(
         unwrapped.append(unwrapped[-1] + movement)
         prev_vals = new_vals
         t = t_try
-        step = min(step * 2, max_step)
+        step = min(step * 2, MAX_TRACK_STEP)
 
     return TrajectoryRecord(
         t_grid=np.array(ts),

@@ -223,10 +223,10 @@ def min_time_search(
 
     Returns ``(t_star, verdict)``: 0 lies in the range at ``t_star`` and is
     certified outside it at every t < ``t_star − tol_t``; ``t_star = None``
-    when the certified steps cover the horizon.  Checks U at :func:`plan`'s
-    default tolerance first.  ``gen`` must be one-hot (p = e_i), as the
-    generators of :func:`select_generator` are; any other p raises
-    ``ValueError``.
+    when the certified steps cover the horizon.  Checks U within
+    ``RELAXED_UNITARITY_TOL`` first, as :func:`plan` does.  ``gen`` must be
+    one-hot (p = e_i), as the generators of :func:`select_generator` are;
+    any other p raises ``ValueError``.
     """
     u = check_unitary(u, tol=RELAXED_UNITARITY_TOL)
     return _min_time_search(_unitary_eig(u), gen, t_horizon, tol_t)
@@ -281,15 +281,16 @@ def perturbation_cost(p: np.ndarray, t: float) -> float:
     return float(2.0 * np.abs(np.sin(np.asarray(p) * t / 2)).max())
 
 
-def plan(
-    u: np.ndarray,
-    t_horizon: float = 2 * np.pi,
-    tol_t: float = 1e-3,
-    unitarity_tol: float = RELAXED_UNITARITY_TOL,
-) -> SteeringPlan:
-    """Full pipeline: eigensystem → speed profile → generator → minimal time."""
-    u = check_unitary(u, tol=unitarity_tol)
-    system = _unitary_eig(u)
+def plan(u: np.ndarray, t_horizon: float = 2 * np.pi, tol_t: float = 1e-3) -> SteeringPlan:
+    """Full pipeline: eigensystem → speed profile → generator → minimal time.
+
+    U is checked within ``RELAXED_UNITARITY_TOL``, for matrices read from text.
+    """
+    return _plan(_unitary_eig(check_unitary(u, tol=RELAXED_UNITARITY_TOL)), t_horizon, tol_t)
+
+
+def _plan(system: EigenSystem, t_horizon: float, tol_t: float) -> SteeringPlan:
+    """:func:`plan` on the eigensystem of a checked U."""
     gen, gap = select_generator(system, speed_profile(system))
     t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t)
     norm = perturbation_cost(gen.p, t_star) if t_star is not None else None

@@ -17,6 +17,7 @@ from .perturb import PerturbationGenerator, TrajectoryRecord, track_trajectory
 __all__ = [
     "Fixture",
     "haar_unitary",
+    "conditioned_unitary",
     "degenerate_fixture",
     "fd_velocity",
     "brute_membership",
@@ -36,6 +37,18 @@ def haar_unitary(d: int, seed=None) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diag(r)
     return q * (diag / np.abs(diag))[None, :]
+
+
+def conditioned_unitary(d: int, seed) -> np.ndarray:
+    """Haar eigenbasis with eigenvalue angles uniform in [−1.2, 1.2].
+
+    The spectrum lies in an arc of width 2.4 < π, so its widest gap exceeds
+    π and 0 lies outside W(U): an instance ``plan`` can steer at any d, where
+    Haar draws almost never miss 0 from d = 6 on.
+    """
+    rng = _as_rng(seed)
+    x = haar_unitary(d, rng)
+    return (x * np.exp(1j * rng.uniform(-1.2, 1.2, d))) @ x.conj().T
 
 
 @dataclass(frozen=True)
@@ -114,13 +127,7 @@ def degenerate_fixture(d: int, k: int, l: int, seed=None) -> Fixture:
     )
 
 
-def fd_velocity(
-    u: np.ndarray,
-    gen: PerturbationGenerator,
-    t: float,
-    h: float,
-    max_step: float = 0.05,
-) -> np.ndarray:
+def fd_velocity(u: np.ndarray, gen: PerturbationGenerator, t: float, h: float) -> np.ndarray:
     """Centered finite-difference eigenvalue velocities at time ``t``.
 
     Tracks the trajectory with ``t − h``, ``t``, ``t + h`` forced onto the
@@ -130,13 +137,7 @@ def fd_velocity(
         raise ValueError(f"h must be positive, got {h}")
     if t - h < 0:
         raise ValueError(f"need t - h >= 0, got t={t}, h={h}")
-    record = track_trajectory(
-        u,
-        gen,
-        t_end=t + h,
-        max_step=max_step,
-        checkpoints=(t - h, t, t + h),
-    )
+    record = track_trajectory(u, gen, t_end=t + h, checkpoints=(t - h, t, t + h))
     i_minus = _grid_index(record, t - h)
     i_plus = _grid_index(record, t + h)
     return (record.paths[:, i_plus] - record.paths[:, i_minus]) / (2 * h)

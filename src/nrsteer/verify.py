@@ -38,6 +38,7 @@ from .testkit import degenerate_fixture, haar_unitary
 BUDGET_TOL = 1e-8
 MONOTONE_TOL = 1e-9
 WITNESS_TOL = 1e-9
+TRACK_T_END = 2.0
 PROBE_TIMES = (0.1, 1.0, 10.0)
 RATIO_WINDOW = (3.5, 4.5)
 ERROR_FLOOR = 1e-10
@@ -87,38 +88,30 @@ def _scaled(n_trials: int, divisor: int) -> int:
 
 
 def run_budget_and_monotonicity(
-    seed: int,
-    n_trials: int,
-    dims: tuple[int, ...] = (2, 3, 4, 5, 6),
-    t_end: float = 2.0,
-    direction: str = CCW,
+    seed: int, n_trials: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6)
 ) -> tuple[PropertyOutcome, PropertyOutcome]:
-    """Track Haar-random instances; check the speed budget and monotonicity."""
+    """Track Haar-random instances ccw to ``TRACK_T_END``; check speed budget and monotonicity."""
     rng = np.random.default_rng(seed)
     budget = PropertyOutcome(name="velocity-budget", trials=n_trials)
     mono = PropertyOutcome(name="monotone-rotation", trials=n_trials)
-    sign = 1.0 if direction == CCW else -1.0
     for i, d in enumerate(_trial_dims(dims, n_trials)):
         u = haar_unitary(d, rng)
-        gen = PerturbationGenerator(p=rng.dirichlet(np.ones(d)), direction=direction)
-        record = track_trajectory(u, gen, t_end=t_end)
+        gen = PerturbationGenerator(p=rng.dirichlet(np.ones(d)), direction=CCW)
+        record = track_trajectory(u, gen, t_end=TRACK_T_END)
 
         budget_err = float(np.abs(np.abs(record.velocities).sum(axis=0) - 1.0).max())
         budget.record(budget_err, budget_err <= BUDGET_TOL, f"trial {i}: budget residual {budget_err:.3e}")
 
-        drift = sign * np.diff(record.unwrapped_args, axis=1)
+        drift = np.diff(record.unwrapped_args, axis=1)
         worst = float(-drift.min()) if drift.size else 0.0
         mono.record(max(worst, 0.0), worst <= MONOTONE_TOL, f"trial {i}: backward step {worst:.3e}")
     return budget, mono
 
 
 def run_stationarity_and_multiplicity(
-    seed: int,
-    n_fixtures: int,
-    dims: tuple[int, ...] = (3, 4, 5, 6),
-    probe_times: tuple[float, ...] = PROBE_TIMES,
+    seed: int, n_fixtures: int, dims: tuple[int, ...] = (3, 4, 5, 6)
 ) -> tuple[PropertyOutcome, PropertyOutcome]:
-    """Degenerate fixtures with small weight support: witnesses plus counts."""
+    """Degenerate fixtures with small weight support: witnesses and counts at ``PROBE_TIMES``."""
     rng = np.random.default_rng(seed)
     stationary = PropertyOutcome(name="stationary-witness", trials=n_fixtures)
     multiplicity = PropertyOutcome(name="residual-multiplicity", trials=n_fixtures)
@@ -139,7 +132,7 @@ def run_stationarity_and_multiplicity(
         worst_residual = 0.0
         min_count = fixture.multiplicity
         gen = PerturbationGenerator(p=fixture.p)
-        for t in probe_times:
+        for t in PROBE_TIMES:
             cert = stationarity_certificate(fixture.matrix, iso, fixture.p, probe_t=t)
             if not cert.stationary:
                 worst_residual = np.inf
@@ -167,23 +160,20 @@ def _nearest_eigenvalues(u: np.ndarray, gen: PerturbationGenerator, t: float) ->
     return _unitary_eig(perturbed_unitary(u, gen, t)).values
 
 
-def quadratic_remainder_ratio(
-    errors: list[tuple[float, float]],
-    window: tuple[float, float] = RATIO_WINDOW,
-    floor: float = ERROR_FLOOR,
-) -> tuple[float, float] | None:
-    """First (largest-t) halving rung whose error ratio sits in the window.
+def quadratic_remainder_ratio(errors: list[tuple[float, float]]) -> tuple[float, float] | None:
+    """First (largest-t) halving rung whose error ratio sits in ``RATIO_WINDOW``.
 
     ``errors`` holds (t, error) pairs down a t-halving ladder.  Returns
     ``(t, ratio)`` for the largest t where both error(t) and error(t/2) are
-    above the noise floor and error(t)/error(t/2) lies in the window, or
+    at least ``ERROR_FLOOR`` and error(t)/error(t/2) lies in the window, or
     ``None`` when no rung qualifies.
     """
+    lo, hi = RATIO_WINDOW
     for (t, err), (_, err_half) in zip(errors, errors[1:]):
-        if err < floor or err_half < floor:
+        if err < ERROR_FLOOR or err_half < ERROR_FLOOR:
             continue
         ratio = err / err_half
-        if window[0] <= ratio <= window[1]:
+        if lo <= ratio <= hi:
             return t, ratio
     return None
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nrsteer import cli, demo, iofmt
+from nrsteer import cli, demo, iofmt, linalg, perturb, steering
 from nrsteer.perturb import TrackingCollisionError
 from nrsteer.testkit import degenerate_fixture
 
@@ -315,3 +315,21 @@ class TestExampleCommand:
         for name in ("report.json", "range_initial.csv", "range_initial.svg",
                      "range_perturbed.csv", "range_perturbed.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_checks_and_decomposes_the_demo_once(self, tmp_path, monkeypatch):
+        # one unitarity check of the demo; one eigendecomposition of it and one
+        # of the pushed matrix drawn in range_perturbed.svg
+        calls = {}
+        for name in ("check_unitary", "_unitary_eig"):
+            original = getattr(linalg, name)
+            calls[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (linalg, steering, perturb, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert run_cli("example", "--out-dir", str(tmp_path)) == 0
+        assert calls == {"check_unitary": 1, "_unitary_eig": 2}

@@ -118,12 +118,26 @@ class TestUnitaryEig:
         assert np.all(np.diff(args) >= -1e-15)  # ccw from smallest principal argument
 
     def test_conjugate_pair_same_real_part(self):
-        # equal Hermitian parts force the anti-Hermitian compression to split them
+        # equal Hermitian parts put the pair in one run, which the Schur form splits
         theta = 0.8
         u = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
         system = unitary_eig(u)
         assert np.allclose(sorted(system.values, key=lambda z: z.imag),
                            [np.exp(-1j * theta), np.exp(1j * theta)], atol=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-7, 1e-9])
+    def test_near_mirror_pair_residual(self, delta):
+        # e^{iθ} and e^{−i(θ − δ)} have Hermitian parts δ·sin θ apart: their
+        # eigenvectors of A mix by about eps/(δ·sin θ) unless resolved together
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x = haar_unitary(8, rng)
+            theta = rng.uniform(-np.pi, np.pi, 8)
+            theta[1] = delta - theta[0]
+            u = (x * np.exp(1j * theta)) @ x.conj().T
+            system = unitary_eig(u)
+            residual = np.abs(u @ system.vectors - system.vectors * system.values).max()
+            assert residual <= 1e-12, (seed, residual)
 
     def test_degenerate_block_grouped(self):
         basis = haar_unitary(4, 11)
@@ -140,7 +154,7 @@ class TestUnitaryEig:
         system = unitary_eig(u)
         group = max(range(len(system.groups)), key=lambda g: len(system.groups[g]))
         iso = system.isometry(group)
-        assert iso.multiplicity == 3
+        assert iso.columns.shape[1] == 3
         cols = iso.columns
         assert schatten_inf(cols.conj().T @ cols - np.eye(3)) < 1e-10
         assert schatten_inf(u @ cols - iso.eigenvalue * cols) < 1e-9

@@ -26,7 +26,7 @@ from nrsteer.steering import (
     select_generator,
     speed_profile,
 )
-from nrsteer.testkit import degenerate_fixture, haar_unitary
+from nrsteer.testkit import conditioned_unitary, degenerate_fixture, haar_unitary
 
 DEMO_SYSTEM = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4)
 
@@ -35,13 +35,6 @@ def exact_margin(u, gen, t):
     """Widest arc gap of U·V(t) minus π, from numpy's nonsymmetric eigensolver."""
     args = np.sort(np.angle(np.linalg.eigvals(perturbed_unitary(u, gen, t))))
     return float(np.diff(np.append(args, args[0] + 2 * np.pi)).max() - np.pi)
-
-
-def conditioned_unitary(d, seed):
-    """Haar eigenbasis with eigenvalue angles in an arc of width 2.4 < π."""
-    rng = np.random.default_rng(seed)
-    x = haar_unitary(d, rng)
-    return (x * np.exp(1j * rng.uniform(-1.2, 1.2, d))) @ x.conj().T
 
 
 def circle_distance(a, b):

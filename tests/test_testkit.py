@@ -3,11 +3,12 @@ import pytest
 from scipy import stats
 
 from nrsteer.linalg import schatten_inf, unitary_eig
-from nrsteer.numrange import contains_zero_general, contains_zero_unitary
+from nrsteer.numrange import OUTSIDE, contains_zero_general, contains_zero_unitary
 from nrsteer.perturb import PerturbationGenerator
 from nrsteer.testkit import (
     _separated_angles,
     brute_membership,
+    conditioned_unitary,
     degenerate_fixture,
     fd_velocity,
     haar_unitary,
@@ -46,6 +47,20 @@ class TestHaarUnitary:
         picks = eigs[np.arange(draws), rng.integers(0, 2, draws)]
         counts, _ = np.histogram(np.angle(picks), bins=16, range=(-np.pi, np.pi))
         assert stats.chisquare(counts).pvalue > 0.001
+
+
+class TestConditionedUnitary:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 64])
+    def test_every_draw_misses_zero(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            u = conditioned_unitary(d, rng)
+            assert schatten_inf(u.conj().T @ u - np.eye(d)) < 1e-12
+            assert contains_zero_unitary(unitary_eig(u)) == OUTSIDE
+
+    def test_seed_reproducibility(self):
+        assert np.array_equal(conditioned_unitary(8, 5), conditioned_unitary(8, 5))
+        assert not np.array_equal(conditioned_unitary(8, 5), conditioned_unitary(8, 6))
 
 
 class TestDegenerateFixture:
