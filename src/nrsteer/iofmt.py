@@ -112,15 +112,17 @@ def write_range_csv(path, profile: SupportProfile) -> None:
 
 def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
     """Tracked-path CSV: t, path index, re/im of the eigenvalue, speed."""
-    lines = ["t,j,re_lambda,im_lambda,speed"]
-    speeds = record.speeds()
-    for k, t in enumerate(record.t_grid):
-        for j in range(record.paths.shape[0]):
-            z = record.paths[j, k]
-            lines.append(
-                f"{format_float(t)},{j},{format_float(z.real)},{format_float(z.imag)},{format_float(speeds[j, k])}"
-            )
-    _write_text(path, "\n".join(lines) + "\n")
+    d, n = record.paths.shape
+    z = record.paths.T.ravel()  # step-major, as the rows run
+    rows = zip(
+        np.repeat(record.t_grid, d).tolist(),
+        list(range(d)) * n,
+        z.real.tolist(),
+        z.imag.tolist(),
+        record.speeds().T.ravel().tolist(),
+    )
+    row = "%.17g,%d,%.17g,%.17g,%.17g\n"  # %.17g writes a float as format_float does
+    _write_text(path, "t,j,re_lambda,im_lambda,speed\n" + "".join(map(row.__mod__, rows)))
 
 
 def _write_text(path, text: str) -> None:

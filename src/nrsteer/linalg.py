@@ -3,7 +3,8 @@
 Everything here works on plain complex ``numpy`` arrays.  Matrices are
 validated at API boundaries (:func:`check_unitary`, :func:`check_hermitian`)
 instead of being wrapped in dedicated classes, once: callers that already
-hold a checked unitary use the unchecked core ``_unitary_eig``; structured results
+hold a checked unitary use the unchecked core ``_unitary_eig``, which also
+decomposes a (K, d, d) stack in one batched solve; structured results
 (:class:`EigenSystem`, :class:`EigenspaceIsometry`) are frozen dataclasses.
 
 The unitary eigendecomposition starts from a symmetric eigenproblem: a
@@ -102,11 +103,12 @@ def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, x)`` with real eigenvalues ``w`` ascending and unitary ``x``
     whose columns are the eigenvectors, so that ``h = x @ diag(w) @ x†``.
+    A (K, d, d) stack gives (K, d) and (K, d, d).
     """
     try:
         w, x = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        residual = float(np.abs(h - h.conj().T).max())
+        residual = float(np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max())
         raise EigendecompositionError(
             f"symmetric eigensolver did not converge: {exc}", residual=residual
         ) from exc
@@ -124,14 +126,13 @@ def schatten_inf(a: np.ndarray) -> float:
 
 
 def _fix_column_phases(x: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive."""
-    x = x.copy()
-    idx = np.argmax(np.abs(x), axis=0)
-    for j, i in enumerate(idx):
-        pivot = x[i, j]
-        if abs(pivot) > 0:
-            x[:, j] *= np.conj(pivot) / abs(pivot)
-    return x
+    """Rotate each column of a (K, d, d) stack so its largest-modulus entry is real positive.
+
+    The columns are unit vectors, so every pivot is at least 1/√d in modulus.
+    """
+    k, _, d = x.shape
+    pivot = x[np.arange(k)[:, None], np.argmax(np.abs(x), axis=1), np.arange(d)]
+    return x * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -205,43 +206,81 @@ def unitary_eig(u: np.ndarray, unitarity_tol: float = UNITARITY_TOL) -> EigenSys
     return _unitary_eig(check_unitary(u, tol=unitarity_tol))
 
 
-def _unitary_eig(u: np.ndarray) -> EigenSystem:
-    """:func:`unitary_eig` without the unitarity check.
+def _unitary_eig(u: np.ndarray) -> EigenSystem | list[EigenSystem]:
+    """:func:`unitary_eig` without the unitarity check, of one matrix or a (K, d, d) stack.
 
-    For callers that hold a checked U, or a matrix built from checked ones
+    For callers that hold a checked U, or matrices built from checked ones
     (such as U·V(t) or U†V), whose unitarity therefore needs no re-check.
+    A stack is decomposed by one batched symmetric eigensolve and gives a
+    list of K eigensystems, each equal to the one its matrix gives alone.
     """
-    d = u.shape[0]
-    a_part = (u + u.conj().T) / 2
-    b_part = (u - u.conj().T) / 2j
+    stack = u if u.ndim == 3 else u[None]
+    d = stack.shape[-1]
+    adjoint = np.conj(np.swapaxes(stack, -1, -2))
+    a_part = (stack + adjoint) / 2
+    b_part = (stack - adjoint) / 2j
     a_vals, x = _herm_eig(a_part)
 
     # resolve each run of close A-eigenvalues with the Schur form of U on its span
-    cols: list[np.ndarray] = []
+    close = a_vals[:, 1:] - a_vals[:, :-1] <= A_RUN_GAP
+    if close.any():
+        for k in np.flatnonzero(close.any(axis=1)):
+            _schur_runs(stack[k], x[k], close[k])
+    vecs = _fix_column_phases(x)
+    conj = vecs.conj()
+    # np.multiply, not `*`: numpy reuses a large temporary operand of `*` in
+    # place, which rounds complex products differently, so a stack's values
+    # would not match those of its matrices decomposed alone
+    vals = np.multiply(conj, a_part @ vecs).sum(1) + 1j * np.multiply(conj, b_part @ vecs).sum(1)
+
+    # ccw order: ascending principal argument; only exact ties need the
+    # eigenvector entries (Re x₀, Im x₀, Re x₁, …) to break them
+    ks = np.arange(stack.shape[0])[:, None]
+    args = principal_args(vals)
+    order = np.argsort(args, axis=1)
+    ranked = args[ks, order]
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    if tied.any():
+        for k in np.flatnonzero(tied.any(axis=1)):
+            entries = np.stack([vecs[k].real, vecs[k].imag], axis=1).reshape(2 * d, d)
+            order[k] = np.lexsort(np.vstack([entries[::-1], args[k]]))  # last key is primary
+    vals = vals[ks, order]
+    vecs = vecs[ks[:, :, None], np.arange(d)[:, None], order[:, None, :]]
+
+    # chordal neighbours, the pair across ±π included; most spectra have none
+    near = (np.abs(vals[:, 1:] - vals[:, :-1]) <= CLUSTER_TOL).any(axis=1)
+    near |= np.abs(vals[:, 0] - vals[:, -1]) <= CLUSTER_TOL
+    singletons = tuple((j,) for j in range(d))
+    systems = [
+        EigenSystem(
+            values=vals[k],
+            vectors=vecs[k],
+            groups=tuple(map(tuple, _cluster_on_circle(vals[k], CLUSTER_TOL)))
+            if near[k]
+            else singletons,
+        )
+        for k in range(stack.shape[0])
+    ]
+    return systems if u.ndim == 3 else systems[0]
+
+
+def _schur_runs(u: np.ndarray, x: np.ndarray, close: np.ndarray) -> None:
+    """Rotate each run of ``close``-linked columns of ``x`` to the Schur vectors of U on its span.
+
+    ``x`` holds the A-eigenvectors of U and is updated in place; ``close[j]``
+    links columns j and j + 1.
+    """
+    d = x.shape[1]
     i = 0
     while i < d:
         j = i
-        while j + 1 < d and a_vals[j + 1] - a_vals[j] <= A_RUN_GAP:
+        while j + 1 < d and close[j]:
             j += 1
-        block = x[:, i : j + 1]
         if j > i:
+            block = x[:, i : j + 1]
             _, z = schur(block.conj().T @ u @ block, output="complex")
-            block = block @ z
-        cols.append(block)
+            x[:, i : j + 1] = block @ z
         i = j + 1
-    vecs = _fix_column_phases(np.hstack(cols))
-    conj = vecs.conj()
-    vals = (conj * (a_part @ vecs)).sum(0) + 1j * (conj * (b_part @ vecs)).sum(0)
-
-    # ccw order: ascending principal argument, then the eigenvector entries
-    # (Re x₀, Im x₀, Re x₁, …) break ties; lexsort's last key is the primary one
-    entries = np.stack([vecs.real, vecs.imag], axis=1).reshape(2 * d, d)
-    order = np.lexsort(np.vstack([entries[::-1], principal_args(vals)]))
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    groups = tuple(tuple(g) for g in _cluster_on_circle(vals, CLUSTER_TOL))
-    return EigenSystem(values=vals, vectors=vecs, groups=groups)
 
 
 def principal_args(values: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ The perturbation family is V(t) = exp(i·t·diag(p)) for a probability vector p
 (conjugated for clockwise rotation), applied as U·V(t).  First-order angular
 speeds of the eigenvalues are the diagonal weights of the eigenvectors
 (simple case) or the eigenvalues of the eigenspace-compressed weight matrix
-(degenerate case).  Exact trajectories are produced by re-diagonalizing
-U·V(t) on an adaptive grid and matching eigenvalues between steps by a
-minimum-cost assignment on unit-circle arc distance.
+(degenerate case).  Exact trajectories come from eigendecomposing U·V(t)
+on a uniform grid in stacked solves, matching the eigenvalues of
+neighbouring grid points by a minimum-cost assignment on unit-circle arc
+distance, and bisecting the intervals whose matching is ambiguous or moves
+an eigenvalue too far.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ MAX_TRACK_STEP = 0.05
 MAX_ARC_PER_STEP = np.pi / 8
 AMBIGUITY_RATIO = 2.0
 AMBIGUITY_FLOOR = 1e-12
+STACK_BYTES = 1 << 17  # U·V(t) matrices per stacked eigensolve: 8 at d = 32
 
 __all__ = [
     "CCW",
@@ -195,12 +198,17 @@ class TrajectoryRecord:
     ``paths[j, k]`` is the j-th eigenvalue (initial ccw label) at ``t_grid[k]``;
     ``velocities`` the exact instantaneous velocities; ``unwrapped_args`` the
     continuously-unwrapped arguments, so monotonicity is visible directly.
+    ``bisected_ambiguous`` and ``bisected_arc`` count the grid intervals the
+    tracker bisected because the matching was ambiguous, or because an
+    eigenvalue moved more than ``MAX_ARC_PER_STEP``.
     """
 
     t_grid: np.ndarray
     paths: np.ndarray
     velocities: np.ndarray
     unwrapped_args: np.ndarray
+    bisected_ambiguous: int
+    bisected_arc: int
 
     @property
     def n_steps(self) -> int:
@@ -250,10 +258,6 @@ def _assignment_is_ambiguous(cost: np.ndarray, old: np.ndarray, new: np.ndarray)
     return False
 
 
-def _velocities(values: np.ndarray, vectors: np.ndarray, gen: PerturbationGenerator) -> np.ndarray:
-    return gen.sign * 1j * values * angular_speeds(vectors, gen.p)
-
-
 def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray) -> np.ndarray:
     """Rotate each degenerate cluster's basis to diagonalize the compression.
 
@@ -271,6 +275,38 @@ def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray) -> np.ndarray:
     return adapted
 
 
+def _base_grid(t_end: float, marks: list[float]) -> np.ndarray:
+    """Steps of ``MAX_TRACK_STEP`` from 0, landing exactly on each mark and on ``t_end``."""
+    ts = [0.0]
+    while ts[-1] < t_end - 1e-15:
+        limit = next((m for m in marks if m > ts[-1] + 1e-15), t_end)
+        t = ts[-1] + MAX_TRACK_STEP
+        ts.append(limit if t >= limit - 1e-15 else t)  # the mark itself, not an ulp short
+    return np.array(ts)
+
+
+def _spectra(
+    u: np.ndarray, gen: PerturbationGenerator, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and angular speeds of U·V(t) at each of ``times``, each row in ccw order.
+
+    The matrices are eigendecomposed in stacks of at most ``STACK_BYTES``, so
+    memory does not grow with the number of times.  Inside a degenerate
+    cluster the speeds are those of the split (:func:`_adapt_cluster_bases`).
+    """
+    d = u.shape[0]
+    per_stack = max(1, STACK_BYTES // u.nbytes)
+    values = np.empty((len(times), d), dtype=np.complex128)
+    speeds = np.empty((len(times), d))
+    for start in range(0, len(times), per_stack):
+        phases = np.exp(1j * gen.sign * gen.p * times[start : start + per_stack, None])
+        # U·V(t) only rescales the columns of the checked U: no re-check
+        for i, system in enumerate(_unitary_eig(u * phases[:, None, :]), start):
+            values[i] = system.values
+            speeds[i] = angular_speeds(_adapt_cluster_bases(system, gen.p), gen.p)
+    return values, speeds
+
+
 def track_trajectory(
     u: np.ndarray,
     gen: PerturbationGenerator,
@@ -280,74 +316,67 @@ def track_trajectory(
 ) -> TrajectoryRecord:
     """Track the eigenvalues of U·V(t) from t = 0 to ``t_end``.
 
-    Each accepted step re-diagonalizes U·V(t) and matches the new eigenvalues
-    to the previous ones by minimum-cost assignment on arc distance.  Steps
-    start at, and never exceed, ``MAX_TRACK_STEP``; a step is halved whenever
-    the cheapest matching is ambiguous or any eigenvalue moved more than π/8;
-    underflow below 1e-12 raises
-    :class:`TrackingCollisionError`.  ``checkpoints`` are forced onto the grid.
-    U is checked for unitarity once, here: every U·V(t) only rescales its
-    columns by unit phases and keeps its unitarity defect.
+    The grid starts as steps of ``MAX_TRACK_STEP`` that land exactly on every
+    checkpoint and on ``t_end``, and U·V(t) is eigendecomposed at all of its
+    points in stacked solves.  The intervals are then walked left to right:
+    the eigenvalues at the right end are matched to those at the left by
+    minimum-cost assignment on arc distance, and an interval whose matching
+    is ambiguous, or in which an eigenvalue moved more than π/8, is bisected
+    depth-first, one solved midpoint at a time, until every piece passes.
+    A piece shorter than 1e-12 raises :class:`TrackingCollisionError`.  Every
+    solved point ends on the grid.  U is checked for unitarity once, here:
+    every U·V(t) only rescales its columns by unit phases and keeps its
+    unitarity defect.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     u = check_unitary(u, tol=unitarity_tol)
-    d = u.shape[0]
-    if gen.p.shape[0] != d:
+    if gen.p.shape[0] != u.shape[0]:
         raise ValueError("generator dimension does not match the matrix")
 
     marks = sorted({float(c) for c in checkpoints if 0.0 < float(c) <= t_end})
-    system = _unitary_eig(u)
+    base = _base_grid(t_end, marks)
+    base_values, base_speeds = _spectra(u, gen, base)
 
     ts = [0.0]
-    paths = [system.values]
-    vels = [_velocities(system.values, _adapt_cluster_bases(system, gen.p), gen)]
-    unwrapped = [principal_args(system.values)]
+    paths = [base_values[0]]
+    speeds = [base_speeds[0]]
+    unwrapped = [principal_args(base_values[0])]
+    bisected_ambiguous = bisected_arc = 0
+    for k in range(1, len(base)):
+        # solved right ends still to reach, the nearest last
+        pending = [(base[k], base_values[k], base_speeds[k])]
+        while pending:
+            t, values, rates = pending[-1]
+            cost = _arc_distance_matrix(paths[-1], values)
+            perm = linear_sum_assignment(cost)[1]  # rows come back as 0, 1, …, d − 1
+            movement = np.angle(values[perm] / paths[-1])
+            ambiguous = _assignment_is_ambiguous(cost, paths[-1], values)
+            if ambiguous or np.abs(movement).max() > MAX_ARC_PER_STEP:
+                bisected_ambiguous += ambiguous
+                bisected_arc += not ambiguous
+                half = (t - ts[-1]) / 2
+                if half < MIN_TRACK_STEP:
+                    raise TrackingCollisionError(
+                        f"tracking collision near t = {t:.6g}: eigenvalue crossing "
+                        "too tight to resolve"
+                    )
+                mid = ts[-1] + half
+                mid_values, mid_speeds = _spectra(u, gen, np.array([mid]))
+                pending.append((mid, mid_values[0], mid_speeds[0]))
+                continue
+            pending.pop()
+            ts.append(t)
+            paths.append(values[perm])
+            speeds.append(rates[perm])
+            unwrapped.append(unwrapped[-1] + movement)
 
-    t = 0.0
-    prev_vals = system.values
-    step = MAX_TRACK_STEP
-
-    while t < t_end - 1e-15:
-        upcoming = next((m for m in marks if m > t + 1e-15), None)
-        limit = min(t_end, upcoming) if upcoming is not None else t_end
-        t_try = t + step
-        if t_try >= limit - 1e-15:  # land on the checkpoint or t_end itself, not an ulp short
-            t_try = limit
-
-        # U·V(t) only rescales the columns of the checked U: no re-check
-        moved = _unitary_eig(perturbed_unitary(u, gen, t_try))
-        cost = _arc_distance_matrix(prev_vals, moved.values)
-        rows, cols = linear_sum_assignment(cost)
-        perm = np.empty(d, dtype=int)
-        perm[rows] = cols
-        movement = np.angle(moved.values[perm] / prev_vals)
-
-        if (
-            _assignment_is_ambiguous(cost, prev_vals, moved.values)
-            or np.abs(movement).max() > MAX_ARC_PER_STEP
-        ):
-            step /= 2
-            if step < MIN_TRACK_STEP:
-                raise TrackingCollisionError(
-                    f"tracking collision near t = {t_try:.6g}: eigenvalue crossing "
-                    "too tight to resolve"
-                )
-            continue
-
-        new_vals = moved.values[perm]
-        new_vecs = _adapt_cluster_bases(moved, gen.p)[:, perm]
-        ts.append(t_try)
-        paths.append(new_vals)
-        vels.append(_velocities(new_vals, new_vecs, gen))
-        unwrapped.append(unwrapped[-1] + movement)
-        prev_vals = new_vals
-        t = t_try
-        step = min(step * 2, MAX_TRACK_STEP)
-
+    paths_arr = np.array(paths).T
     return TrajectoryRecord(
         t_grid=np.array(ts),
-        paths=np.array(paths).T,
-        velocities=np.array(vels).T,
+        paths=paths_arr,
+        velocities=gen.sign * 1j * paths_arr * np.array(speeds).T,
         unwrapped_args=np.array(unwrapped).T,
+        bisected_ambiguous=bisected_ambiguous,
+        bisected_arc=bisected_arc,
     )

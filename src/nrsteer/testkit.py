@@ -7,11 +7,11 @@ the production path cannot confirm itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CLUSTER_TOL, unitary_eig
+from .linalg import CLUSTER_TOL, EigenSystem, unitary_eig
 from .perturb import PerturbationGenerator, TrajectoryRecord, track_trajectory
 
 __all__ = [
@@ -57,7 +57,8 @@ class Fixture:
 
     ``p`` is supported on ``support_size`` coordinates; when
     ``support_size < multiplicity`` the eigenvalue must stay put under
-    U·V(t) with residual multiplicity at least the difference.
+    U·V(t) with residual multiplicity at least the difference.  ``system``
+    is the eigendecomposition that validated the multiplicity.
     """
 
     label: str
@@ -66,9 +67,11 @@ class Fixture:
     multiplicity: int
     p: np.ndarray
     support_size: int
+    system: EigenSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         system = unitary_eig(self.matrix)
+        object.__setattr__(self, "system", system)
         sizes = [
             len(g)
             for g in system.groups

@@ -121,7 +121,7 @@ def run_stationarity_and_multiplicity(
         k = int(rng.integers(2, d + 1))
         l = int(rng.integers(1, k))
         fixture = degenerate_fixture(d, k, l, rng)
-        system = _unitary_eig(fixture.matrix)  # checked when the fixture was built
+        system = fixture.system
         group = next(
             gi
             for gi, g in enumerate(system.groups)
@@ -231,7 +231,7 @@ def run_first_order_split(
         u = fixture.matrix
         p = rng.dirichlet(np.ones(d))
         gen = PerturbationGenerator(p=p)
-        system = _unitary_eig(u)  # checked when the fixture was built
+        system = fixture.system
         group = next(
             gi
             for gi, g in enumerate(system.groups)

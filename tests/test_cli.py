@@ -267,6 +267,30 @@ class TestTrajectoryCommand:
         ]
         assert max(min_speed_per_step) < 1e-9
 
+    def test_csv_bytes_unchanged(self, tmp_path):
+        # every float column is written as format_float writes it
+        t = np.array([0.0, 5e-324, 1e308])
+        z = np.empty((2, 3), dtype=complex)
+        z.real = [[-0.0, 5e-324, 1e308], [7.0, 0.1, -1.7976931348623157e308]]
+        z.imag = [[0.0, -2.2250738585072009e-308, 3.0], [-0.0, 1 / 3, 1e16]]
+        speed = np.array([[0.0, 2.0, 1e-310], [1.0, 0.25, 1e308]])
+        record = perturb.TrajectoryRecord(
+            t_grid=t, paths=z, velocities=1j * speed, unwrapped_args=np.zeros((2, 3)),
+            bisected_ambiguous=0, bisected_arc=0,
+        )
+        iofmt.write_trajectory_csv(tmp_path / "trajectory.csv", record)
+        expected = ["t,j,re_lambda,im_lambda,speed"] + [
+            ",".join([iofmt.format_float(t[k]), str(j), iofmt.format_float(z[j, k].real),
+                      iofmt.format_float(z[j, k].imag), iofmt.format_float(speed[j, k])])
+            for k in range(3)
+            for j in range(2)
+        ]
+        text = (tmp_path / "trajectory.csv").read_bytes().decode()
+        assert text == "\n".join(expected) + "\n"
+        assert text.startswith("t,j,re_lambda,im_lambda,speed\n0,0,-0,0,0\n0,1,7,-0,1\n")
+        assert "\n4.9406564584124654e-324,0,4.9406564584124654e-324," in text
+        assert ",10000000000000000," in text
+
     def test_collision_exit_code(self, demo_file, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise TrackingCollisionError("tracking collision near t = 0.1")

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrsteer import demo
+from nrsteer import demo, linalg
 from nrsteer.linalg import (
     BranchCutWarning,
     EigendecompositionError,
     _herm_eig,
+    _unitary_eig,
     check_hermitian,
     check_unitary,
     geodesic_point,
@@ -16,7 +17,7 @@ from nrsteer.linalg import (
     unitary_eig,
     unitary_exp_herm,
 )
-from nrsteer.testkit import degenerate_fixture, haar_unitary
+from nrsteer.testkit import conditioned_unitary, degenerate_fixture, haar_unitary
 
 
 def complex_mat(rows):
@@ -195,6 +196,35 @@ class TestUnitaryEigOrder:
     @pytest.mark.parametrize("seed", range(4))
     def test_haar(self, seed):
         self.assert_reference_order(unitary_eig(haar_unitary(6, seed)), seed=seed)
+
+
+class TestStackedUnitaryEig:
+    """A (K, d, d) stack gives every matrix the eigensystem it gets alone."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_matches_one_at_a_time(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        mats = [haar_unitary(d, rng), conditioned_unitary(d, rng), np.exp(0.3j) * np.eye(d)]
+        if d >= 2:  # a near mirror pair: its A-eigenvalues need the Schur form
+            x = haar_unitary(d, rng)
+            theta = rng.uniform(-np.pi, np.pi, d)
+            theta[1] = 1e-7 - theta[0]
+            mats.append((x * np.exp(1j * theta)) @ x.conj().T)
+        if d >= 3:  # an exactly (d − 1)-fold eigenvalue
+            mats.append(degenerate_fixture(d, d - 1, 1, rng).matrix)
+        schur_calls = []
+        real_schur = linalg.schur
+        monkeypatch.setattr(
+            linalg, "schur", lambda *a, **k: schur_calls.append(1) or real_schur(*a, **k)
+        )
+        stacked = _unitary_eig(np.array(mats))
+        assert (len(schur_calls) > 0) == (d >= 2)
+        assert len(stacked) == len(mats)
+        for m, system in zip(mats, stacked):
+            alone = _unitary_eig(m)
+            assert system.groups == alone.groups
+            assert np.abs(system.values - alone.values).max() <= 1e-13
+            assert np.abs(system.vectors - alone.vectors).max() <= 1e-13
 
 
 class TestSchatten:

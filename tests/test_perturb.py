@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrsteer import demo
+from scipy.optimize import linear_sum_assignment
+
+from nrsteer import demo, perturb
 from nrsteer.linalg import EigenspaceIsometry, schatten_inf, unitary_eig
 from nrsteer.perturb import (
+    MAX_ARC_PER_STEP,
+    MAX_TRACK_STEP,
     PerturbationGenerator,
+    TrackingCollisionError,
     compress_generator,
     first_order_eigenvalue,
     perturbed_unitary,
@@ -271,6 +276,68 @@ class TestTrackTrajectory:
         record = track_trajectory(u, gen, t_end=0.3)
         assert record.t_grid[-1] == pytest.approx(0.3)
         assert np.diff(record.unwrapped_args, axis=1).min() >= -1e-9
+
+    def test_rejection_free_input_gets_the_uniform_grid(self):
+        gen = PerturbationGenerator(p=np.random.default_rng(36).dirichlet(np.ones(4)))
+        record = track_trajectory(haar_unitary(4, 36), gen, t_end=2.0)
+        grid = np.cumsum([0.0] + [MAX_TRACK_STEP] * 40)  # repeated addition
+        grid[-1] = 2.0  # the last step lands on t_end
+        assert record.t_grid.tolist() == grid.tolist()
+        assert record.bisected_ambiguous == record.bisected_arc == 0
+
+    @pytest.mark.parametrize("seed", [37, 38, 39])
+    def test_every_final_interval_passes_the_check(self, seed, monkeypatch):
+        # degenerate start: the split cluster makes the tracker bisect
+        rng = np.random.default_rng(seed)
+        fixture = degenerate_fixture(6, 4, 1, rng)
+        gen = PerturbationGenerator(p=rng.dirichlet(np.ones(6)))
+        checks, solves = [], []
+        real_lsa, real_eig = perturb.linear_sum_assignment, perturb._unitary_eig
+        monkeypatch.setattr(
+            perturb, "linear_sum_assignment", lambda c: checks.append(1) or real_lsa(c)
+        )
+        monkeypatch.setattr(
+            perturb, "_unitary_eig",
+            lambda u: solves.append(u.shape[0] if u.ndim == 3 else 1) or real_eig(u),
+        )
+        record = track_trajectory(fixture.matrix, gen, t_end=2.0)
+        bisected = record.bisected_ambiguous + record.bisected_arc
+        assert bisected > 0
+        # one eigensolve per grid point, U itself at t = 0 included
+        assert sum(solves) == record.n_steps
+        assert len(checks) == record.n_steps - 1 + bisected
+        for k in range(1, record.n_steps):
+            old, new = record.paths[:, k - 1], record.paths[:, k]
+            cost = perturb._arc_distance_matrix(old, new)
+            rows, cols = linear_sum_assignment(cost)
+            # the recorded labels are an optimal matching (ties between
+            # coincident eigenvalues may pick another one)
+            assert np.trace(cost) <= cost[rows, cols].sum() + 1e-12
+            assert not perturb._assignment_is_ambiguous(cost, old, new)
+            assert np.abs(np.angle(new / old)).max() <= MAX_ARC_PER_STEP
+
+    def test_batch_seams_do_not_change_the_record(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        fixture = degenerate_fixture(5, 3, 1, rng)
+        gen = PerturbationGenerator(p=rng.dirichlet(np.ones(5)), direction="cw")
+        whole = track_trajectory(fixture.matrix, gen, t_end=2.0)
+        monkeypatch.setattr(perturb, "STACK_BYTES", 1)  # one matrix per stack
+        single = track_trajectory(fixture.matrix, gen, t_end=2.0)
+        assert whole.t_grid.tolist() == single.t_grid.tolist()
+        assert (whole.bisected_ambiguous, whole.bisected_arc) == (
+            single.bisected_ambiguous, single.bisected_arc)
+        for a, b in ((whole.paths, single.paths), (whole.velocities, single.velocities),
+                     (whole.unwrapped_args, single.unwrapped_args)):
+            assert np.abs(a - b).max() <= 1e-13
+
+    def test_collision_stops_within_forty_solves(self, monkeypatch):
+        calls = []
+        real_eig = perturb._unitary_eig
+        monkeypatch.setattr(perturb, "_assignment_is_ambiguous", lambda *args: True)
+        monkeypatch.setattr(perturb, "_unitary_eig", lambda u: calls.append(1) or real_eig(u))
+        with pytest.raises(TrackingCollisionError, match="tracking collision"):
+            track_trajectory(haar_unitary(4, 41), uniform_gen(4), t_end=2.0)
+        assert len(calls) <= 40
 
     def test_rejects_bad_inputs(self):
         u = haar_unitary(2, 35)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nrsteer import linalg, verify
 from nrsteer.linalg import schatten_inf, unitary_eig
 from nrsteer.numrange import OUTSIDE, contains_zero_general, contains_zero_unitary
 from nrsteer.perturb import PerturbationGenerator
@@ -76,6 +77,22 @@ class TestDegenerateFixture:
         system = unitary_eig(fixture.matrix)
         sizes = sorted(len(g) for g in system.groups)
         assert sizes == [1, 1, 3]
+        assert np.array_equal(fixture.system.values, system.values)
+
+    def test_verify_reuses_the_fixture_eigensystem(self, monkeypatch):
+        calls = []
+        real = linalg._unitary_eig
+
+        def counting(u):
+            calls.append(u.shape)
+            return real(u)
+
+        monkeypatch.setattr(linalg, "_unitary_eig", counting)
+        monkeypatch.setattr(verify, "_unitary_eig", counting)
+        stationary, multiplicity = verify.run_stationarity_and_multiplicity(1, 10)
+        assert stationary.passed and multiplicity.passed
+        # per fixture: the validation, then one per probe time
+        assert len(calls) == 10 * (1 + len(verify.PROBE_TIMES)) == 40
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
