@@ -9,7 +9,8 @@ Subcommands
 ``example``     bundled demonstration instance with reference-value checks
 
 Exit codes: 0 success, 2 parse/input error, 3 check failure,
-4 nothing to steer, 5 tracking collision.
+4 nothing to steer, 5 tracking failure (an eigensolver fault broke the
+trajectory's step check).
 """
 
 from __future__ import annotations

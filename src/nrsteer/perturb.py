@@ -5,10 +5,13 @@ The perturbation family is V(t) = exp(i·t·diag(p)) for a probability vector p
 speeds of the eigenvalues are the diagonal weights of the eigenvectors
 (simple case) or the eigenvalues of the eigenspace-compressed weight matrix
 (degenerate case).  Exact trajectories come from eigendecomposing U·V(t)
-on a uniform grid in stacked solves, matching the eigenvalues of
-neighbouring grid points by a minimum-cost assignment on unit-circle arc
-distance, and bisecting the intervals whose matching is ambiguous or moves
-an eigenvalue too far.
+on a uniform grid in stacked solves and matching the eigenvalues of
+neighbouring grid points by rank.  Since p ≥ 0, every eigenvalue turns the
+same way, so the ccw order of the spectrum is kept up to a cyclic shift; and
+since det(U·V(t)) = det U·exp(±i·t·Σp), the moves over a step of length Δt
+sum to exactly Δt·Σp.  Measured as arcs in the turning direction, the moves
+of one cyclic shift sum to 2π more or less than those of the next, so one
+shift gives that sum: it is the match.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
     UNITARITY_TOL,
@@ -33,11 +35,8 @@ DIRECTIONS = {CCW: CCW, "counterclockwise": CCW, CW: CW, "clockwise": CW}  # ali
 
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
-MIN_TRACK_STEP = 1e-12
 MAX_TRACK_STEP = 0.05
-MAX_ARC_PER_STEP = np.pi / 8
-AMBIGUITY_RATIO = 2.0
-AMBIGUITY_FLOOR = 1e-12
+STEP_TOL = 1e-9  # per move and on the sum of a step's moves
 STACK_BYTES = 1 << 17  # U·V(t) matrices per stacked eigensolve: 8 at d = 32
 
 __all__ = [
@@ -188,27 +187,28 @@ def stationarity_certificate(
 
 
 class TrackingCollisionError(RuntimeError):
-    """An eigenvalue crossing is too tight for the step control to resolve."""
+    """A tracked step failed the rank-order check: an eigensolver fault.
+
+    Exact spectra of U·V(t) always pass it (every move ≥ 0, moves summing to
+    Δt·Σp), so a failure means a computed spectrum is wrong at that time.
+    """
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Index-matched eigenvalue paths of t ↦ U·V(t) over an adaptive grid.
+    """Index-matched eigenvalue paths of t ↦ U·V(t) over the uniform grid.
 
     ``paths[j, k]`` is the j-th eigenvalue (initial ccw label) at ``t_grid[k]``;
     ``velocities`` the exact instantaneous velocities; ``unwrapped_args`` the
     continuously-unwrapped arguments, so monotonicity is visible directly.
-    ``bisected_ambiguous`` and ``bisected_arc`` count the grid intervals the
-    tracker bisected because the matching was ambiguous, or because an
-    eigenvalue moved more than ``MAX_ARC_PER_STEP``.
+    ``max_step_residual`` is the worst |Σ moves − Δt·Σp| over the steps.
     """
 
     t_grid: np.ndarray
     paths: np.ndarray
     velocities: np.ndarray
     unwrapped_args: np.ndarray
-    bisected_ambiguous: int
-    bisected_arc: int
+    max_step_residual: float
 
     @property
     def n_steps(self) -> int:
@@ -217,45 +217,6 @@ class TrajectoryRecord:
     def speeds(self) -> np.ndarray:
         """|velocity| per path and step (equals the angular speed profile)."""
         return np.abs(self.velocities)
-
-
-def _arc_distance_matrix(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Pairwise |arg(new/old)| arc distances, shape (d, d)."""
-    ratio = new[None, :] / old[:, None]
-    return np.abs(np.angle(ratio))
-
-
-DUPLICATE_TOL = 1e-11  # eigenvalues this close are interchangeable labels
-
-
-def _has_duplicate(values: np.ndarray) -> np.ndarray:
-    """Per entry: does another entry lie within DUPLICATE_TOL of it."""
-    dist = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1) <= DUPLICATE_TOL
-
-
-def _assignment_is_ambiguous(cost: np.ndarray, old: np.ndarray, new: np.ndarray) -> bool:
-    """Two near-tied matching candidates (ratio < 2) for some eigenvalue.
-
-    Ties among (numerically) coincident eigenvalues do not count: members of
-    a degenerate cluster are interchangeable labels, so a split or a
-    pass-through within DUPLICATE_TOL is matched arbitrarily and harmlessly.
-    """
-    d = cost.shape[0]
-    if d < 2:
-        return False
-    for transpose, anchors, candidates in ((False, old, new), (True, new, old)):
-        c = cost.T if transpose else cost
-        skip = _has_duplicate(anchors)
-        order = np.argsort(c, axis=1)
-        i1, i2 = order[:, 0], order[:, 1]
-        rows = np.arange(d)
-        d1, d2 = c[rows, i1], c[rows, i2]
-        distinct = np.abs(candidates[i1] - candidates[i2]) > DUPLICATE_TOL
-        if np.any(~skip & distinct & (d1 > AMBIGUITY_FLOOR) & (d2 < AMBIGUITY_RATIO * d1)):
-            return True
-    return False
 
 
 def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray) -> np.ndarray:
@@ -307,6 +268,34 @@ def _spectra(
     return values, speeds
 
 
+def _rank_match(
+    args: np.ndarray, sign: float, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic shift and moves of each step between neighbouring grid points.
+
+    ``args`` holds the ascending principal arguments at each of K + 1 grid
+    points, and the moves of step k must sum to ``h[k]``.  Shift r sends rank
+    i to rank i + r (mod d), and its moves are arcs in the turning direction
+    on [−STEP_TOL, 2π − STEP_TOL); the shift whose moves sum nearest to h
+    wins.  The d shifts of a step are laid out at once, in blocks of at most
+    ``STACK_BYTES``.  Returns the shifts (K,) and the moves of the old ranks
+    (K, d).
+    """
+    d = args.shape[1]
+    ranks = np.arange(d)
+    cyclic = (ranks[:, None] + ranks) % d  # [shift, old rank] -> new rank
+    per_block = max(1, STACK_BYTES // (8 * d * d))
+    shifts = np.empty(len(h), dtype=np.intp)
+    moves = np.empty((len(h), d))
+    for start in range(0, len(h), per_block):
+        block = slice(start, start + per_block)
+        old, new = args[:-1][block], args[1:][block]
+        arcs = (sign * (new[:, cyclic] - old[:, None, :]) + STEP_TOL) % (2 * np.pi) - STEP_TOL
+        shifts[block] = np.argmin(np.abs(arcs.sum(axis=2) - h[block, None]), axis=1)
+        moves[block] = arcs[np.arange(len(old)), shifts[block]]
+    return shifts, moves
+
+
 def track_trajectory(
     u: np.ndarray,
     gen: PerturbationGenerator,
@@ -316,17 +305,17 @@ def track_trajectory(
 ) -> TrajectoryRecord:
     """Track the eigenvalues of U·V(t) from t = 0 to ``t_end``.
 
-    The grid starts as steps of ``MAX_TRACK_STEP`` that land exactly on every
-    checkpoint and on ``t_end``, and U·V(t) is eigendecomposed at all of its
-    points in stacked solves.  The intervals are then walked left to right:
-    the eigenvalues at the right end are matched to those at the left by
-    minimum-cost assignment on arc distance, and an interval whose matching
-    is ambiguous, or in which an eigenvalue moved more than π/8, is bisected
-    depth-first, one solved midpoint at a time, until every piece passes.
-    A piece shorter than 1e-12 raises :class:`TrackingCollisionError`.  Every
-    solved point ends on the grid.  U is checked for unitarity once, here:
-    every U·V(t) only rescales its columns by unit phases and keeps its
-    unitarity defect.
+    The grid is steps of ``MAX_TRACK_STEP`` that land exactly on every
+    checkpoint and on ``t_end``, and U·V(t) is eigendecomposed at each of
+    its points in stacked solves; no other point is solved.  Each step is
+    matched by rank: the spectrum at its left end, in ccw order, goes to
+    the one at its right end under the one cyclic shift whose moves (arcs
+    in the turning direction) sum to h = Δt·Σp, the determinant's turn.
+    Speeds are permuted with the values, and the unwrapped arguments advance
+    by the moves.  A step with a move below −``STEP_TOL``, or whose moves
+    miss h by more than ``STEP_TOL``, raises :class:`TrackingCollisionError`.
+    U is checked for unitarity once, here: every U·V(t) only rescales its
+    columns by unit phases and keeps its unitarity defect.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -335,48 +324,34 @@ def track_trajectory(
         raise ValueError("generator dimension does not match the matrix")
 
     marks = sorted({float(c) for c in checkpoints if 0.0 < float(c) <= t_end})
-    base = _base_grid(t_end, marks)
-    base_values, base_speeds = _spectra(u, gen, base)
+    t_grid = _base_grid(t_end, marks)
+    values, speeds = _spectra(u, gen, t_grid)
+    args = principal_args(values)  # ascending in each row
 
-    ts = [0.0]
-    paths = [base_values[0]]
-    speeds = [base_speeds[0]]
-    unwrapped = [principal_args(base_values[0])]
-    bisected_ambiguous = bisected_arc = 0
-    for k in range(1, len(base)):
-        # solved right ends still to reach, the nearest last
-        pending = [(base[k], base_values[k], base_speeds[k])]
-        while pending:
-            t, values, rates = pending[-1]
-            cost = _arc_distance_matrix(paths[-1], values)
-            perm = linear_sum_assignment(cost)[1]  # rows come back as 0, 1, …, d − 1
-            movement = np.angle(values[perm] / paths[-1])
-            ambiguous = _assignment_is_ambiguous(cost, paths[-1], values)
-            if ambiguous or np.abs(movement).max() > MAX_ARC_PER_STEP:
-                bisected_ambiguous += ambiguous
-                bisected_arc += not ambiguous
-                half = (t - ts[-1]) / 2
-                if half < MIN_TRACK_STEP:
-                    raise TrackingCollisionError(
-                        f"tracking collision near t = {t:.6g}: eigenvalue crossing "
-                        "too tight to resolve"
-                    )
-                mid = ts[-1] + half
-                mid_values, mid_speeds = _spectra(u, gen, np.array([mid]))
-                pending.append((mid, mid_values[0], mid_speeds[0]))
-                continue
-            pending.pop()
-            ts.append(t)
-            paths.append(values[perm])
-            speeds.append(rates[perm])
-            unwrapped.append(unwrapped[-1] + movement)
+    h = np.diff(t_grid) * gen.p.sum()
+    shifts, moves = _rank_match(args, gen.sign, h)
+    residuals = np.abs(moves.sum(axis=1) - h)
+    bad = (moves.min(axis=1) < -STEP_TOL) | (residuals > STEP_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise TrackingCollisionError(
+            f"tracking failed at t = {t_grid[k + 1]:.6g}: the step from t = {t_grid[k]:.6g} "
+            f"has worst move {moves[k].min():.3e} and |sum of moves - h| = "
+            f"{residuals[k]:.3e} (tolerance {STEP_TOL:g}); an eigensolver fault"
+        )
 
-    paths_arr = np.array(paths).T
+    # path j sits at rank (j + cumulative shift) mod d
+    d = u.shape[0]
+    offsets = np.concatenate([[0], np.cumsum(shifts)])
+    rank = (np.arange(d) + offsets[:, None]) % d  # [grid point, path]
+    steps = np.arange(len(t_grid))[:, None]
+    paths = values[steps, rank].T
+    turned = gen.sign * moves[steps[:-1], rank[:-1]]
+    unwrapped = np.cumsum(np.vstack([args[:1], turned]), axis=0).T
     return TrajectoryRecord(
-        t_grid=np.array(ts),
-        paths=paths_arr,
-        velocities=gen.sign * 1j * paths_arr * np.array(speeds).T,
-        unwrapped_args=np.array(unwrapped).T,
-        bisected_ambiguous=bisected_ambiguous,
-        bisected_arc=bisected_arc,
+        t_grid=t_grid,
+        paths=paths,
+        velocities=gen.sign * 1j * paths * speeds[steps, rank].T,
+        unwrapped_args=unwrapped,
+        max_step_residual=float(residuals.max()),
     )

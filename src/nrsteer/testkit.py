@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .linalg import CLUSTER_TOL, EigenSystem, unitary_eig
-from .perturb import PerturbationGenerator, TrajectoryRecord, track_trajectory
+from .linalg import CLUSTER_TOL, EigenSystem, principal_args, unitary_eig
+from .perturb import PerturbationGenerator, TrajectoryRecord, perturbed_unitary, track_trajectory
 
 __all__ = [
     "Fixture",
@@ -20,6 +21,7 @@ __all__ = [
     "conditioned_unitary",
     "degenerate_fixture",
     "fd_velocity",
+    "assignment_paths",
     "brute_membership",
 ]
 
@@ -151,6 +153,24 @@ def _grid_index(record: TrajectoryRecord, t: float) -> int:
     if abs(record.t_grid[idx] - t) > 1e-12:
         raise RuntimeError(f"checkpoint {t} missing from the tracked grid")
     return idx
+
+
+def assignment_paths(u: np.ndarray, gen: PerturbationGenerator, t_grid: np.ndarray) -> np.ndarray:
+    """Oracle eigenvalue paths of U·V(t) on ``t_grid``, shape (d, len(t_grid)).
+
+    Independent of the tracker's eigensolver and of its rank match: each
+    spectrum comes from ``np.linalg.eigvals``, and the eigenvalues of
+    neighbouring points are matched by minimum-cost assignment on arc
+    distance.  Path j starts at the j-th eigenvalue in ccw order, as the
+    tracker's does.
+    """
+    first = np.linalg.eigvals(perturbed_unitary(u, gen, t_grid[0]))
+    paths = [first[np.argsort(principal_args(first))]]
+    for t in t_grid[1:]:
+        values = np.linalg.eigvals(perturbed_unitary(u, gen, t))
+        cost = np.abs(np.angle(values[None, :] / paths[-1][:, None]))
+        paths.append(values[linear_sum_assignment(cost)[1]])
+    return np.array(paths).T
 
 
 def brute_membership(a: np.ndarray, n_dense: int = 16384) -> str:

@@ -19,8 +19,9 @@ from nrsteer.linalg import schatten_inf, unitary_eig
 from nrsteer.numrange import INSIDE, contains_zero_general, contains_zero_unitary
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary, track_trajectory
 from nrsteer.steering import perturbation_cost, plan, speed_profile
-from nrsteer.testkit import haar_unitary
+from nrsteer.testkit import assignment_paths, haar_unitary
 from nrsteer.verify import (
+    MONOTONE_TOL,
     run_first_order_simple,
     run_first_order_split,
     run_stationarity_and_multiplicity,
@@ -42,15 +43,18 @@ def report(name, passed, detail):
 
 @pytest.fixture(scope="module")
 def tracked_trials():
-    """100 Haar instances (d in 2..6, random weights, ccw) tracked over [0, 2]."""
+    """100 Haar instances (d in 2..6, random weights, ccw) tracked over [0, 2].
+
+    Each trial is (U, generator, record).
+    """
     rng = np.random.default_rng(TRIAL_SEED)
-    records = []
+    trials = []
     for i in range(100):
         d = 2 + i % 5
         u = haar_unitary(d, rng)
         gen = PerturbationGenerator(p=rng.dirichlet(np.ones(d)), direction="ccw")
-        records.append(track_trajectory(u, gen, t_end=2.0))
-    return records
+        trials.append((u, gen, track_trajectory(u, gen, t_end=2.0)))
+    return trials
 
 
 def test_criterion_1_reference_speed_profile():
@@ -104,7 +108,7 @@ def test_criterion_2_reference_steering():
 def test_criterion_3_velocity_budget(tracked_trials):
     worst = max(
         float(np.abs(np.abs(rec.velocities).sum(axis=0) - 1.0).max())
-        for rec in tracked_trials
+        for _, _, rec in tracked_trials
     )
     report(
         "criterion 3 (velocity budget)",
@@ -114,15 +118,22 @@ def test_criterion_3_velocity_budget(tracked_trials):
 
 
 def test_criterion_4_monotone_rotation(tracked_trials):
-    worst = 0.0
-    for rec in tracked_trials:
+    # the tracker's own unwrapped arguments, and an oracle that shares neither
+    # its eigensolver nor its rank match (a crossing inside a step could hide
+    # a backward move behind rank labels)
+    worst = oracle_worst = path_gap = 0.0
+    for u, gen, rec in tracked_trials:
         drift = np.diff(rec.unwrapped_args, axis=1)
         if drift.size:
             worst = max(worst, float(-drift.min()))
+        oracle = assignment_paths(u, gen, rec.t_grid)
+        oracle_worst = max(oracle_worst, float(-np.angle(oracle[:, 1:] / oracle[:, :-1]).min()))
+        path_gap = max(path_gap, float(np.abs(oracle - rec.paths).max()))
     report(
         "criterion 4 (monotone rotation)",
-        worst <= 1e-9,
-        f"largest backward step {worst:.2e} <= 1e-9 over 100 ccw trials",
+        worst <= 1e-9 and oracle_worst <= MONOTONE_TOL and path_gap <= 1e-9,
+        f"largest backward step {worst:.2e} <= 1e-9 over 100 ccw trials; oracle's "
+        f"{oracle_worst:.2e} <= {MONOTONE_TOL:g}, oracle paths within {path_gap:.2e} <= 1e-9",
     )
 
 

@@ -276,7 +276,7 @@ class TestTrajectoryCommand:
         speed = np.array([[0.0, 2.0, 1e-310], [1.0, 0.25, 1e308]])
         record = perturb.TrajectoryRecord(
             t_grid=t, paths=z, velocities=1j * speed, unwrapped_args=np.zeros((2, 3)),
-            bisected_ambiguous=0, bisected_arc=0,
+            max_step_residual=0.0,
         )
         iofmt.write_trajectory_csv(tmp_path / "trajectory.csv", record)
         expected = ["t,j,re_lambda,im_lambda,speed"] + [

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.optimize import linear_sum_assignment
 
 from nrsteer import demo, perturb
 from nrsteer.linalg import EigenspaceIsometry, schatten_inf, unitary_eig
 from nrsteer.perturb import (
-    MAX_ARC_PER_STEP,
     MAX_TRACK_STEP,
+    STEP_TOL,
     PerturbationGenerator,
     TrackingCollisionError,
     compress_generator,
@@ -283,38 +282,30 @@ class TestTrackTrajectory:
         grid = np.cumsum([0.0] + [MAX_TRACK_STEP] * 40)  # repeated addition
         grid[-1] = 2.0  # the last step lands on t_end
         assert record.t_grid.tolist() == grid.tolist()
-        assert record.bisected_ambiguous == record.bisected_arc == 0
+        assert record.max_step_residual <= STEP_TOL
 
     @pytest.mark.parametrize("seed", [37, 38, 39])
     def test_every_final_interval_passes_the_check(self, seed, monkeypatch):
-        # degenerate start: the split cluster makes the tracker bisect
+        # degenerate start: a 4-fold cluster splits in the first step
         rng = np.random.default_rng(seed)
         fixture = degenerate_fixture(6, 4, 1, rng)
         gen = PerturbationGenerator(p=rng.dirichlet(np.ones(6)))
-        checks, solves = [], []
-        real_lsa, real_eig = perturb.linear_sum_assignment, perturb._unitary_eig
-        monkeypatch.setattr(
-            perturb, "linear_sum_assignment", lambda c: checks.append(1) or real_lsa(c)
-        )
+        solves = []
+        real_eig = perturb._unitary_eig
         monkeypatch.setattr(
             perturb, "_unitary_eig",
             lambda u: solves.append(u.shape[0] if u.ndim == 3 else 1) or real_eig(u),
         )
         record = track_trajectory(fixture.matrix, gen, t_end=2.0)
-        bisected = record.bisected_ambiguous + record.bisected_arc
-        assert bisected > 0
         # one eigensolve per grid point, U itself at t = 0 included
-        assert sum(solves) == record.n_steps
-        assert len(checks) == record.n_steps - 1 + bisected
-        for k in range(1, record.n_steps):
-            old, new = record.paths[:, k - 1], record.paths[:, k]
-            cost = perturb._arc_distance_matrix(old, new)
-            rows, cols = linear_sum_assignment(cost)
-            # the recorded labels are an optimal matching (ties between
-            # coincident eigenvalues may pick another one)
-            assert np.trace(cost) <= cost[rows, cols].sum() + 1e-12
-            assert not perturb._assignment_is_ambiguous(cost, old, new)
-            assert np.abs(np.angle(new / old)).max() <= MAX_ARC_PER_STEP
+        assert sum(solves) == record.n_steps == 41
+        h = np.diff(record.t_grid) * gen.p.sum()
+        moves = np.diff(record.unwrapped_args, axis=1)
+        assert np.all(moves >= -STEP_TOL) and np.all(moves <= h + STEP_TOL)
+        assert np.abs(moves.sum(axis=0) - h).max() <= STEP_TOL
+        # the unwrapped arguments advance by the moves of the recorded paths
+        arcs = np.angle(record.paths[:, 1:] / record.paths[:, :-1])
+        assert np.abs(arcs - moves).max() <= 1e-12
 
     def test_batch_seams_do_not_change_the_record(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -324,20 +315,36 @@ class TestTrackTrajectory:
         monkeypatch.setattr(perturb, "STACK_BYTES", 1)  # one matrix per stack
         single = track_trajectory(fixture.matrix, gen, t_end=2.0)
         assert whole.t_grid.tolist() == single.t_grid.tolist()
-        assert (whole.bisected_ambiguous, whole.bisected_arc) == (
-            single.bisected_ambiguous, single.bisected_arc)
+        assert whole.max_step_residual == single.max_step_residual
         for a, b in ((whole.paths, single.paths), (whole.velocities, single.velocities),
                      (whole.unwrapped_args, single.unwrapped_args)):
             assert np.abs(a - b).max() <= 1e-13
 
-    def test_collision_stops_within_forty_solves(self, monkeypatch):
-        calls = []
-        real_eig = perturb._unitary_eig
-        monkeypatch.setattr(perturb, "_assignment_is_ambiguous", lambda *args: True)
-        monkeypatch.setattr(perturb, "_unitary_eig", lambda u: calls.append(1) or real_eig(u))
-        with pytest.raises(TrackingCollisionError, match="tracking collision"):
-            track_trajectory(haar_unitary(4, 41), uniform_gen(4), t_end=2.0)
-        assert len(calls) <= 40
+    def test_failed_step_check_names_its_time(self, monkeypatch):
+        # one eigenvalue turned 0.1 backward at one grid point: an eigensolver fault
+        real_spectra = perturb._spectra
+
+        def corrupted(u, gen, times):
+            values, speeds = real_spectra(u, gen, times)
+            values[17, 2] *= np.exp(-1j * gen.sign * 0.1)
+            return values, speeds
+
+        monkeypatch.setattr(perturb, "_spectra", corrupted)
+        for direction in ("ccw", "cw"):
+            with pytest.raises(TrackingCollisionError, match=r"tracking failed at t = 0\.85:"):
+                track_trajectory(haar_unitary(4, 41), uniform_gen(4, direction), t_end=2.0)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+    def test_close_pair_keeps_the_uniform_grid(self, delta):
+        # a pair delta apart turns rigidly with the rest: no step shrinks for it
+        x = haar_unitary(4, 42)
+        u = (x * np.exp(1j * np.array([0.3, 0.3 + delta, 2.0, -2.0]))) @ x.conj().T
+        gen = uniform_gen(4)
+        record = track_trajectory(u, gen, t_end=2.0)
+        assert record.n_steps == 41
+        expected = np.linalg.eigvals(perturbed_unitary(u, gen, 2.0))
+        cost = np.abs(record.paths[:, -1][:, None] - expected[None, :])
+        assert cost[linear_sum_assignment(cost)].max() <= 1e-8
 
     def test_rejects_bad_inputs(self):
         u = haar_unitary(2, 35)

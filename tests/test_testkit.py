@@ -8,6 +8,7 @@ from nrsteer.numrange import OUTSIDE, contains_zero_general, contains_zero_unita
 from nrsteer.perturb import PerturbationGenerator
 from nrsteer.testkit import (
     _separated_angles,
+    assignment_paths,
     brute_membership,
     conditioned_unitary,
     degenerate_fixture,
@@ -154,6 +155,17 @@ class TestFdVelocity:
         gen = PerturbationGenerator(p=np.array([1.0]))
         with pytest.raises(ValueError):
             fd_velocity(np.eye(1, dtype=complex), gen, 0.1, 0.2)
+
+
+class TestAssignmentPaths:
+    def test_uniform_rigid_rotation(self):
+        # uniform p turns the whole spectrum by t/d: path j stays the j-th in ccw order
+        u = haar_unitary(5, 56)
+        gen = PerturbationGenerator(p=np.full(5, 0.2), direction="cw")
+        t_grid = np.linspace(0.0, 2.0, 41)
+        paths = assignment_paths(u, gen, t_grid)
+        expected = unitary_eig(u).values[:, None] * np.exp(-0.2j * t_grid)[None, :]
+        assert np.abs(paths - expected).max() < 1e-12
 
 
 class TestBruteMembership:
