@@ -6,12 +6,13 @@ speeds of the eigenvalues are the diagonal weights of the eigenvectors
 (simple case) or the eigenvalues of the eigenspace-compressed weight matrix
 (degenerate case).  Exact trajectories come from eigendecomposing U·V(t)
 on a uniform grid in stacked solves and matching the eigenvalues of
-neighbouring grid points by rank.  Since p ≥ 0, every eigenvalue turns the
-same way, so the ccw order of the spectrum is kept up to a cyclic shift; and
-since det(U·V(t)) = det U·exp(±i·t·Σp), the moves over a step of length Δt
-sum to exactly Δt·Σp.  Measured as arcs in the turning direction, the moves
-of one cyclic shift sum to 2π more or less than those of the next, so one
-shift gives that sum: it is the match.
+neighbouring grid points by rank.  Eigenvalues that do not meet keep their
+ccw order, so at every grid point the unwrapped arguments of the paths are
+the spectrum in ccw order from some rank on, lifted over less than one turn.
+The lifts from neighbouring ranks differ in sum by 2π, and det(U·V(t)) =
+det U·exp(±i·t·Σp) fixes the sum: over a step of length Δt it turns by
+exactly ±Δt·Σp.  So one lift gives that sum: it is the match.  Since p ≥ 0,
+every eigenvalue turns the same way, so no move of a true match is negative.
 """
 
 from __future__ import annotations
@@ -219,20 +220,23 @@ class TrajectoryRecord:
         return np.abs(self.velocities)
 
 
-def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray) -> np.ndarray:
+def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray, sign: float) -> np.ndarray:
     """Rotate each degenerate cluster's basis to diagonalize the compression.
 
     Inside a cluster the eigenbasis is arbitrary; the compression eigenbasis
     (:func:`compress_generator`) is the one whose members carry the actual
-    split speeds (ascending), so recorded velocities are the physical limits
-    rather than basis artifacts.
+    split speeds, so recorded velocities are the physical limits rather than
+    basis artifacts.  The split speeds go to the cluster's ccw ranks in the
+    order its branches leave in: ascending for ccw, descending for cw (the
+    fastest branch turns furthest back).
     """
     if all(len(g) == 1 for g in system.groups):
         return system.vectors
     adapted = system.vectors.copy()
     for gi, g in enumerate(system.groups):
         if len(g) > 1:
-            adapted[:, list(g)] = compress_generator(system.isometry(gi), p).split_vectors
+            split = compress_generator(system.isometry(gi), p).split_vectors
+            adapted[:, list(g)] = split if sign > 0 else split[:, ::-1]
     return adapted
 
 
@@ -264,36 +268,24 @@ def _spectra(
         # U·V(t) only rescales the columns of the checked U: no re-check
         for i, system in enumerate(_unitary_eig(u * phases[:, None, :]), start):
             values[i] = system.values
-            speeds[i] = angular_speeds(_adapt_cluster_bases(system, gen.p), gen.p)
+            speeds[i] = angular_speeds(_adapt_cluster_bases(system, gen.p, gen.sign), gen.p)
     return values, speeds
 
 
-def _rank_match(
-    args: np.ndarray, sign: float, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic shift and moves of each step between neighbouring grid points.
+def _rank_offsets(args: np.ndarray, sign: float, h: np.ndarray) -> np.ndarray:
+    """Rank offset N of every grid point: path j sits at lifted rank N + j there.
 
     ``args`` holds the ascending principal arguments at each of K + 1 grid
-    points, and the moves of step k must sum to ``h[k]``.  Shift r sends rank
-    i to rank i + r (mod d), and its moves are arcs in the turning direction
-    on [−STEP_TOL, 2π − STEP_TOL); the shift whose moves sum nearest to h
-    wins.  The d shifts of a step are laid out at once, in blocks of at most
-    ``STACK_BYTES``.  Returns the shifts (K,) and the moves of the old ranks
-    (K, d).
+    points, and the moves of step k must sum to ``h[k]``.  Lifted rank n is
+    rank n mod d turned n // d times, so the d lifted ranks from N on are
+    the spectrum in ccw order over less than one turn, and their arguments
+    sum to Σargs + 2πN.  The offset advances by the one integer that turns
+    that sum by sign·h; any other integer misses it by a multiple of 2π.
+    Returns the offsets (K + 1,), starting at 0.
     """
-    d = args.shape[1]
-    ranks = np.arange(d)
-    cyclic = (ranks[:, None] + ranks) % d  # [shift, old rank] -> new rank
-    per_block = max(1, STACK_BYTES // (8 * d * d))
-    shifts = np.empty(len(h), dtype=np.intp)
-    moves = np.empty((len(h), d))
-    for start in range(0, len(h), per_block):
-        block = slice(start, start + per_block)
-        old, new = args[:-1][block], args[1:][block]
-        arcs = (sign * (new[:, cyclic] - old[:, None, :]) + STEP_TOL) % (2 * np.pi) - STEP_TOL
-        shifts[block] = np.argmin(np.abs(arcs.sum(axis=2) - h[block, None]), axis=1)
-        moves[block] = arcs[np.arange(len(old)), shifts[block]]
-    return shifts, moves
+    total = args.sum(axis=1)
+    turns = np.rint((total[:-1] - total[1:] + sign * h) / (2 * np.pi)).astype(np.intp)
+    return np.concatenate([[0], np.cumsum(turns)])
 
 
 def track_trajectory(
@@ -308,12 +300,14 @@ def track_trajectory(
     The grid is steps of ``MAX_TRACK_STEP`` that land exactly on every
     checkpoint and on ``t_end``, and U·V(t) is eigendecomposed at each of
     its points in stacked solves; no other point is solved.  Each step is
-    matched by rank: the spectrum at its left end, in ccw order, goes to
-    the one at its right end under the one cyclic shift whose moves (arcs
-    in the turning direction) sum to h = Δt·Σp, the determinant's turn.
-    Speeds are permuted with the values, and the unwrapped arguments advance
-    by the moves.  A step with a move below −``STEP_TOL``, or whose moves
-    miss h by more than ``STEP_TOL``, raises :class:`TrackingCollisionError`.
+    matched by rank (:func:`_rank_offsets`): the paths keep their ccw order,
+    so path j moves to the spectrum's rank N + j (mod d) for one offset N,
+    counted with its whole turns, and the determinant's turn h = Δt·Σp
+    leaves one offset whose moves sum to h.  Two paths that meet exchange
+    labels there.  Speeds are permuted with the values, and the unwrapped
+    arguments are the lifted arguments of the ranks.  A step with a move
+    below −``STEP_TOL``, or whose moves miss h by more than ``STEP_TOL``,
+    raises :class:`TrackingCollisionError`.
     U is checked for unitarity once, here: every U·V(t) only rescales its
     columns by unit phases and keeps its unitarity defect.
     """
@@ -328,8 +322,13 @@ def track_trajectory(
     values, speeds = _spectra(u, gen, t_grid)
     args = principal_args(values)  # ascending in each row
 
+    d = u.shape[0]
     h = np.diff(t_grid) * gen.p.sum()
-    shifts, moves = _rank_match(args, gen.sign, h)
+    lifted = _rank_offsets(args, gen.sign, h)[:, None] + np.arange(d)  # [grid point, path]
+    rank = lifted % d
+    steps = np.arange(len(t_grid))[:, None]
+    unwrapped = args[steps, rank] + 2 * np.pi * (lifted // d)
+    moves = gen.sign * np.diff(unwrapped, axis=0)
     residuals = np.abs(moves.sum(axis=1) - h)
     bad = (moves.min(axis=1) < -STEP_TOL) | (residuals > STEP_TOL)
     if bad.any():
@@ -340,18 +339,11 @@ def track_trajectory(
             f"{residuals[k]:.3e} (tolerance {STEP_TOL:g}); an eigensolver fault"
         )
 
-    # path j sits at rank (j + cumulative shift) mod d
-    d = u.shape[0]
-    offsets = np.concatenate([[0], np.cumsum(shifts)])
-    rank = (np.arange(d) + offsets[:, None]) % d  # [grid point, path]
-    steps = np.arange(len(t_grid))[:, None]
     paths = values[steps, rank].T
-    turned = gen.sign * moves[steps[:-1], rank[:-1]]
-    unwrapped = np.cumsum(np.vstack([args[:1], turned]), axis=0).T
     return TrajectoryRecord(
         t_grid=t_grid,
         paths=paths,
         velocities=gen.sign * 1j * paths * speeds[steps, rank].T,
-        unwrapped_args=unwrapped,
+        unwrapped_args=unwrapped.T,
         max_step_residual=float(residuals.max()),
     )

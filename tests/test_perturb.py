@@ -18,7 +18,7 @@ from nrsteer.perturb import (
     stationarity_certificate,
     track_trajectory,
 )
-from nrsteer.testkit import degenerate_fixture, fd_velocity, haar_unitary
+from nrsteer.testkit import assignment_paths, degenerate_fixture, fd_velocity, haar_unitary
 from nrsteer.verify import run_first_order_simple, run_first_order_split
 
 
@@ -345,6 +345,47 @@ class TestTrackTrajectory:
         expected = np.linalg.eigvals(perturbed_unitary(u, gen, 2.0))
         cost = np.abs(record.paths[:, -1][:, None] - expected[None, :])
         assert cost[linear_sum_assignment(cost)].max() <= 1e-8
+        # U·V(t) = exp(i·t/4)·U: each label keeps its own eigenvalue
+        rigid = record.paths[:, :1] * np.exp(1j * record.t_grid / 4)[None, :]
+        assert np.abs(record.paths - rigid).max() <= 1e-9
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+    def test_rank_ties_keep_labels(self, delta):
+        # at d = 2 every pair of labels is in ccw order, and a near-scalar U
+        # fits in less than one step's turn: several rank shifts give moves
+        # >= 0 summing to h, and only the lift of the ccw order tells them apart
+        for d, angles in ((2, [0.3, 0.3 + delta]), (4, 0.3 + delta * np.arange(4))):
+            x = haar_unitary(d, 43)
+            u = (x * np.exp(1j * np.asarray(angles))) @ x.conj().T
+            for direction in ("ccw", "cw"):
+                gen = uniform_gen(d, direction)
+                record = track_trajectory(u, gen, t_end=2.0)
+                assert record.n_steps == 41
+                turn = np.exp(gen.sign * 1j * record.t_grid / d)[None, :]
+                assert np.abs(record.paths - record.paths[:, :1] * turn).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", [44, 45])
+    def test_close_pair_with_unequal_weights_follows_its_branches(self, seed):
+        # the pair 1e-3 apart splits inside the first step; an assignment
+        # oracle 200 times finer than the grid resolves which branch is which
+        x = haar_unitary(2, seed)
+        u = (x * np.exp(1j * np.array([0.3, 0.301]))) @ x.conj().T
+        for direction in ("ccw", "cw"):
+            gen = PerturbationGenerator(p=np.array([0.3, 0.7]), direction=direction)
+            record = track_trajectory(u, gen, t_end=0.5)
+            oracle = assignment_paths(u, gen, np.linspace(0.0, 0.5, 2001))[:, ::200]
+            assert np.abs(record.paths - oracle).max() <= 1e-9
+
+    @pytest.mark.parametrize("direction", ["ccw", "cw"])
+    def test_degenerate_start_speeds_follow_their_branches(self, direction):
+        # a cluster's t = 0 speeds go to the labels whose branches move at them
+        for seed in range(46, 50):
+            rng = np.random.default_rng(seed)
+            fixture = degenerate_fixture(6, 4, 1, rng)
+            gen = PerturbationGenerator(p=rng.dirichlet(np.ones(6)), direction=direction)
+            record = track_trajectory(fixture.matrix, gen, t_end=0.05, checkpoints=(1e-6,))
+            first = gen.sign * np.diff(record.unwrapped_args[:, :2], axis=1)[:, 0] / 1e-6
+            assert np.abs(first - record.speeds()[:, 0]).max() <= 1e-6
 
     def test_rejects_bad_inputs(self):
         u = haar_unitary(2, 35)
