@@ -8,9 +8,9 @@ Subcommands
 ``verify``      seeded property suite of the perturbation rules
 ``example``     bundled demonstration instance with reference-value checks
 
-Exit codes: 0 success, 2 parse/input error, 3 check failure,
-4 nothing to steer, 5 tracking failure (an eigensolver fault broke the
-trajectory's step check).
+Exit codes: 0 success, 2 parse/input error or eigensolver failure,
+3 check failure, 4 nothing to steer, 5 tracking failure (an eigensolver
+fault broke the trajectory's step check).
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ import time
 import numpy as np
 
 from . import demo, iofmt
-from .linalg import RELAXED_UNITARITY_TOL, _unitary_eig, schatten_inf, unitary_eig
+from .linalg import (
+    RELAXED_UNITARITY_TOL,
+    EigendecompositionError,
+    _unitary_eig,
+    schatten_inf,
+    unitary_eig,
+)
 from .numrange import INSIDE, origin_verdict, support_profile
 from .perturb import (
     DIRECTIONS,
@@ -145,25 +151,11 @@ def _digest(matrix: np.ndarray) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_report(path, report: dict) -> None:
+    # np.float64 is a float; arrays and the other numpy scalars (np.bool_,
+    # np.int64) reach ``default``, and ``tolist`` turns them into Python values
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -379,10 +371,7 @@ def main(argv=None) -> int:
     except TrackingCollisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLISION
-    except iofmt.MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, EigendecompositionError) as exc:  # MatrixFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -92,9 +92,13 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
 
 def _entry(path, k: int, pair) -> tuple[float, float]:
     """Entry ``k`` of a matrix file as (re, im), converted as ``float`` converts it."""
+    not_pair = MatrixFileError(f"{path}: entry {k} is not a [re, im] pair of numbers")
     if not (isinstance(pair, list) and len(pair) == 2):
-        raise MatrixFileError(f"{path}: entry {k} is not a [re, im] pair")
-    re_part, im_part = float(pair[0]), float(pair[1])
+        raise not_pair
+    try:
+        re_part, im_part = float(pair[0]), float(pair[1])
+    except (TypeError, ValueError, OverflowError) as exc:  # null, a list, "abc", 10**400
+        raise not_pair from exc
     if not (np.isfinite(re_part) and np.isfinite(im_part)):
         raise MatrixFileError(f"{path}: entry {k} is not finite")
     return re_part, im_part

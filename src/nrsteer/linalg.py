@@ -31,6 +31,7 @@ HERM_TOL = 1e-12             # relative Hermiticity check
 CLUSTER_TOL = 1e-8           # unit-circle distance that merges eigenvalues
 BRANCH_TOL = 1e-8            # distance to -1 that flags the log branch cut
 A_RUN_GAP = 1e-3             # A-eigenvalue spacing below which unitary_eig uses a Schur form
+STACK_BYTES = 1 << 17        # bytes of matrix stack per batched eigensolve: 8 matrices at d = 32
 
 __all__ = [
     "UNITARITY_TOL",
@@ -113,6 +114,17 @@ def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"symmetric eigensolver did not converge: {exc}", residual=residual
         ) from exc
     return w, x
+
+
+def _stack_slices(count: int, matrix_bytes: int) -> list[slice]:
+    """Consecutive slices of ``range(count)``, each a stack of at most ``STACK_BYTES``.
+
+    Each matrix takes ``matrix_bytes``, and each slice holds at least one,
+    so memory per batched eigensolve stays bounded however many matrices a
+    caller has.  ``STACK_BYTES`` is read at call time, not bound at import.
+    """
+    step = max(1, STACK_BYTES // matrix_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def schatten_inf(a: np.ndarray) -> float:

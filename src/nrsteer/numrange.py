@@ -18,7 +18,7 @@ Two complementary routes:
   only those two vectors are mapped back (``zunmqr``): a full ``eigh``
   would also build the d − 2 vectors no one reads.  Below that d the
   per-angle calls cost more than a batched ``eigh`` over a block of at
-  most ``SWEEP_BLOCK_BYTES`` of Hermitian stack, so small matrices keep the
+  most ``linalg.STACK_BYTES`` of Hermitian stack, so small matrices keep the
   batched route.  Either way memory stays bounded as d and n grow.  A warm
   start from the neighbouring angle would not save the reduction: one grid
   step moves H(θ) by about as much as the gap λ₁ − λ₂ on typical inputs.
@@ -38,12 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import EigendecompositionError, EigenSystem, as_complex_matrix, schatten_inf
+from .linalg import (
+    EigendecompositionError,
+    EigenSystem,
+    _herm_eig,
+    _stack_slices,
+    as_complex_matrix,
+    schatten_inf,
+)
 
 ANGLES_DISPLAY = 720    # default sweep resolution for figures
 MEMBERSHIP_REL_TOL = 1e-9
 BOUNDARY_GAP_TOL = 1e-10
-SWEEP_BLOCK_BYTES = 4 * 2**20  # bytes of Hermitian stack per batched eigensolve
 TRIDIAGONAL_MIN_DIM = 14  # from this d on, a sweep solves only the two extreme eigenpairs
 MAX_REFINED_ANGLES = 4096  # angles origin_verdict may add to a profile's grid
 
@@ -98,29 +104,9 @@ class OriginVerdict:
     n_angles: int
 
 
-def _angles_per_block(d: int) -> int:
-    """Angles whose d×d complex Hermitian matrices fit in ``SWEEP_BLOCK_BYTES``."""
-    return max(1, SWEEP_BLOCK_BYTES // (16 * d * d))
-
-
 def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H₁ = (A + A†)/2 and H₂ = (A − A†)/(2i), so that H(θ) = cos θ·H₁ + sin θ·H₂."""
     return (a + a.conj().T) / 2, (a - a.conj().T) / 2j
-
-
-def _eigh_blocks(parts, theta: np.ndarray):
-    """Eigendecompose H(θ) for each θ in ``theta``, in blocks of at most ``SWEEP_BLOCK_BYTES``.
-
-    Yields ``(rows, w, x)``: the slice of ``theta`` solved, the ascending
-    eigenvalues and the eigenvectors.
-    """
-    herm_re, herm_im = parts
-    step = _angles_per_block(herm_re.shape[0])
-    for lo in range(0, len(theta), step):
-        rows = slice(lo, min(lo + step, len(theta)))
-        t = theta[rows, None, None]
-        w, x = np.linalg.eigh(np.cos(t) * herm_re + np.sin(t) * herm_im)
-        yield rows, w, x
 
 
 def _lapack_outputs(routine: str, theta: float, *outputs):
@@ -170,15 +156,17 @@ def _extreme_pairs(parts, theta: np.ndarray):
     ``theta`` and the eigenvectors as the rows of two ``len(theta)``×d
     arrays.  From d = ``TRIDIAGONAL_MIN_DIM`` on each H(θ) is reduced once
     to tridiagonal form and only the two extreme eigenpairs are computed
-    (:func:`_tridiagonal_extremes`); below it, batched ``eigh`` blocks
-    (:func:`_eigh_blocks`) are cheaper.
+    (:func:`_tridiagonal_extremes`); below it, batched ``eigh`` over
+    stacks of at most ``linalg.STACK_BYTES`` is cheaper.
     """
     herm_re, herm_im = parts
     d = herm_re.shape[0]
     lo, hi = np.empty(len(theta)), np.empty(len(theta))
     pairs = np.empty((len(theta), 2, d), dtype=np.complex128)
     if d < TRIDIAGONAL_MIN_DIM:
-        for rows, w, x in _eigh_blocks(parts, theta):
+        for rows in _stack_slices(len(theta), herm_re.nbytes):
+            t = theta[rows, None, None]
+            w, x = _herm_eig(np.cos(t) * herm_re + np.sin(t) * herm_im)
             lo[rows], hi[rows] = w[:, 0], w[:, -1]
             pairs[rows, 0], pairs[rows, 1] = x[:, :, 0], x[:, :, -1]
     else:
@@ -251,10 +239,9 @@ def contains_zero_unitary(system: EigenSystem) -> str:
     """Gap test: 0 lies in the spectral hull iff no arc gap exceeds π.
 
     The widest gap comes from :func:`widest_gap`; within ``BOUNDARY_GAP_TOL``
-    of π the origin lies on the boundary.
+    of π the origin lies on the boundary.  A single cluster has a 2π gap,
+    so 0 lies outside.
     """
-    if len(system.groups) == 1:
-        return OUTSIDE
     return _gap_verdict(widest_gap(system)[0])
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     UNITARITY_TOL,
     EigenSystem,
     EigenspaceIsometry,
+    _stack_slices,
     _unitary_eig,
     check_unitary,
     principal_args,
@@ -38,7 +39,6 @@ PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 MAX_TRACK_STEP = 0.05
 STEP_TOL = 1e-9  # per move and on the sum of a step's moves
-STACK_BYTES = 1 << 17  # U·V(t) matrices per stacked eigensolve: 8 at d = 32
 
 __all__ = [
     "CCW",
@@ -255,18 +255,17 @@ def _spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and angular speeds of U·V(t) at each of ``times``, each row in ccw order.
 
-    The matrices are eigendecomposed in stacks of at most ``STACK_BYTES``, so
-    memory does not grow with the number of times.  Inside a degenerate
+    The matrices are eigendecomposed in stacks of at most ``linalg.STACK_BYTES``,
+    so memory does not grow with the number of times.  Inside a degenerate
     cluster the speeds are those of the split (:func:`_adapt_cluster_bases`).
     """
     d = u.shape[0]
-    per_stack = max(1, STACK_BYTES // u.nbytes)
     values = np.empty((len(times), d), dtype=np.complex128)
     speeds = np.empty((len(times), d))
-    for start in range(0, len(times), per_stack):
-        phases = np.exp(1j * gen.sign * gen.p * times[start : start + per_stack, None])
+    for rows in _stack_slices(len(times), u.nbytes):
+        phases = np.exp(1j * gen.sign * gen.p * times[rows, None])
         # U·V(t) only rescales the columns of the checked U: no re-check
-        for i, system in enumerate(_unitary_eig(u * phases[:, None, :]), start):
+        for i, system in enumerate(_unitary_eig(u * phases[:, None, :]), rows.start):
             values[i] = system.values
             speeds[i] = angular_speeds(_adapt_cluster_bases(system, gen.p, gen.sign), gen.p)
     return values, speeds

@@ -47,7 +47,6 @@ from .numrange import (
     OUTSIDE,
     _gap_verdict,
     _widest_arc,
-    contains_zero_unitary,
     widest_gap,
 )
 from .perturb import CCW, CW, PerturbationGenerator, angular_speeds
@@ -115,11 +114,12 @@ def select_generator(
     for cw), so the basis index with the largest absolute row difference is
     chosen and the sign dictates the direction.  Ties resolve to the lowest
     basis index.  The gap (a, b) is the one :func:`~nrsteer.numrange.widest_gap`
-    finds.
+    finds; its width is the gap test of
+    :func:`~nrsteer.numrange.contains_zero_unitary`, computed once here.
     """
-    if contains_zero_unitary(system) != OUTSIDE:
+    gap, start, end = widest_gap(system)
+    if _gap_verdict(gap) != OUTSIDE:
         raise NothingToSteerError("nothing to steer: 0 already lies in the numerical range")
-    _, start, end = widest_gap(system)
     a, b = system.groups[start][0], system.groups[end][0]
     diff = profile[a] - profile[b]
     best = int(np.argmax(np.abs(diff)))

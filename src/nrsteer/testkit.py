@@ -60,7 +60,8 @@ class Fixture:
     ``p`` is supported on ``support_size`` coordinates; when
     ``support_size < multiplicity`` the eigenvalue must stay put under
     U·V(t) with residual multiplicity at least the difference.  ``system``
-    is the eigendecomposition that validated the multiplicity.
+    is the eigendecomposition that validated the multiplicity, and
+    ``system.groups[group]`` the cluster of ``eigenvalue`` in it.
     """
 
     label: str
@@ -70,15 +71,16 @@ class Fixture:
     p: np.ndarray
     support_size: int
     system: EigenSystem = field(init=False, repr=False, compare=False)
+    group: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         system = unitary_eig(self.matrix)
-        object.__setattr__(self, "system", system)
-        sizes = [
-            len(g)
-            for g in system.groups
+        hits = [
+            gi
+            for gi, g in enumerate(system.groups)
             if abs(system.values[g[0]] - self.eigenvalue) <= CLUSTER_TOL
         ]
+        sizes = [len(system.groups[gi]) for gi in hits]
         if sizes != [self.multiplicity]:
             raise ValueError(
                 f"fixture {self.label!r}: recomputed multiplicity {sizes} does not "
@@ -86,6 +88,8 @@ class Fixture:
             )
         if int(np.sum(self.p > 0)) != self.support_size:
             raise ValueError(f"fixture {self.label!r}: weight support size mismatch")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "group", hits[0])
 
 
 def _separated_angles(rng: np.random.Generator, count: int, min_gap: float) -> np.ndarray:

@@ -121,13 +121,7 @@ def run_stationarity_and_multiplicity(
         k = int(rng.integers(2, d + 1))
         l = int(rng.integers(1, k))
         fixture = degenerate_fixture(d, k, l, rng)
-        system = fixture.system
-        group = next(
-            gi
-            for gi, g in enumerate(system.groups)
-            if abs(system.values[g[0]] - fixture.eigenvalue) <= CLUSTER_TOL
-        )
-        iso = system.isometry(group)
+        iso = fixture.system.isometry(fixture.group)
 
         worst_residual = 0.0
         min_count = fixture.multiplicity
@@ -156,10 +150,6 @@ def run_stationarity_and_multiplicity(
     return stationary, multiplicity
 
 
-def _nearest_eigenvalues(u: np.ndarray, gen: PerturbationGenerator, t: float) -> np.ndarray:
-    return _unitary_eig(perturbed_unitary(u, gen, t)).values
-
-
 def quadratic_remainder_ratio(errors: list[tuple[float, float]]) -> tuple[float, float] | None:
     """First (largest-t) halving rung whose error ratio sits in ``RATIO_WINDOW``.
 
@@ -178,6 +168,30 @@ def quadratic_remainder_ratio(errors: list[tuple[float, float]]) -> tuple[float,
     return None
 
 
+def _first_order_ladder(
+    u: np.ndarray, gen: PerturbationGenerator, eigenvalue: complex, speeds
+) -> tuple[float, float] | None:
+    """:func:`quadratic_remainder_ratio` of the first-order positions down a t-halving ladder.
+
+    At each rung the error is the largest distance between a first-order
+    position λ·exp(±i·s·t), s in ``speeds``, and the eigenvalue of U·V(t)
+    that a minimum-cost matching of predicted against actual positions
+    assigns to it; for one speed that is the distance to the nearest one.
+    """
+    ladder = []
+    t = LADDER_T0
+    for _ in range(LADDER_RUNGS):
+        predicted = np.array(
+            [first_order_eigenvalue(eigenvalue, s, t, gen.direction) for s in speeds]
+        )
+        actual = _unitary_eig(perturbed_unitary(u, gen, t)).values
+        cost = np.abs(actual[None, :] - predicted[:, None])
+        rows, cols = linear_sum_assignment(cost)
+        ladder.append((t, float(cost[rows, cols].max())))
+        t /= 2
+    return quadratic_remainder_ratio(ladder)
+
+
 def run_first_order_simple(
     seed: int,
     n_instances: int,
@@ -192,18 +206,8 @@ def run_first_order_simple(
         gen = PerturbationGenerator(p=p)
         system = unitary_eig(u)
         j = int(rng.integers(d))
-        lam0 = system.values[j]
         speed = simple_velocity(system.vectors[:, j], p)
-
-        ladder = []
-        t = LADDER_T0
-        for _ in range(LADDER_RUNGS):
-            predicted = first_order_eigenvalue(lam0, speed, t, gen.direction)
-            actual = _nearest_eigenvalues(u, gen, t)
-            err = float(np.min(np.abs(actual - predicted)))
-            ladder.append((t, err))
-            t /= 2
-        hit = quadratic_remainder_ratio(ladder)
+        hit = _first_order_ladder(u, gen, system.values[j], [speed])
         if hit is None:
             outcome.record(np.inf, False, f"instance {i}: no rung with quadratic ratio")
         else:
@@ -228,32 +232,11 @@ def run_first_order_split(
         d = usable[i % len(usable)]
         k = int(rng.integers(2, d))
         fixture = degenerate_fixture(d, k, k - 1, rng)  # fixture geometry; p below is full
-        u = fixture.matrix
         p = rng.dirichlet(np.ones(d))
         gen = PerturbationGenerator(p=p)
-        system = fixture.system
-        group = next(
-            gi
-            for gi, g in enumerate(system.groups)
-            if abs(system.values[g[0]] - fixture.eigenvalue) <= CLUSTER_TOL
-        )
-        iso = system.isometry(group)
-        comp = compress_generator(iso, p)
-        lam0 = iso.eigenvalue
-
-        ladder = []
-        t = LADDER_T0
-        for _ in range(LADDER_RUNGS):
-            predicted = np.array(
-                [first_order_eigenvalue(lam0, s, t, gen.direction) for s in comp.speeds]
-            )
-            actual = _nearest_eigenvalues(u, gen, t)
-            cost = np.abs(actual[None, :] - predicted[:, None])
-            rows, cols = linear_sum_assignment(cost)
-            err = float(cost[rows, cols].max())
-            ladder.append((t, err))
-            t /= 2
-        hit = quadratic_remainder_ratio(ladder)
+        iso = fixture.system.isometry(fixture.group)
+        speeds = compress_generator(iso, p).speeds
+        hit = _first_order_ladder(fixture.matrix, gen, iso.eigenvalue, speeds)
         if hit is None:
             outcome.record(np.inf, False, f"instance {i}: no rung with quadratic ratio")
         else:

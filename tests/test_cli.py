@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nrsteer import cli, demo, iofmt, linalg, perturb, steering
+from nrsteer import cli, demo, iofmt, linalg, numrange, perturb, steering
 from nrsteer.perturb import TrackingCollisionError
 from nrsteer.testkit import degenerate_fixture
 
@@ -55,6 +55,11 @@ class TestMatrixFiles:
             # entries are checked in order, whichever check fails first
             ([[1, 0], [float("inf"), 0], [1], [0, 1]], "entry 1 is not finite"),
             ([[1, 0], [1], [float("inf"), 0], [0, 1]], "entry 1 is not a [re, im] pair"),
+            # parts that float() rejects: null, a list, an int too large for a float, text
+            ([[1, 0], [None, 0], [1, 0], [0, 1]], "entry 1 is not a [re, im] pair"),
+            ([[1, 0], [0, 0], [[1], 0], [0, 1]], "entry 2 is not a [re, im] pair"),
+            ([[1, 0], [0, 0], [1, 0], [0, 10**400]], "entry 3 is not a [re, im] pair"),
+            ([[1, 0], ["abc", 0], [1, 0], [0, 1]], "entry 1 is not a [re, im] pair"),
         ],
     )
     def test_bad_entry_reports_index(self, tmp_path, entries, message):
@@ -110,6 +115,22 @@ class TestRangeCommand:
         points = np.array([[float(c) for c in row.split(",")] for row in rows])
         assert np.abs(points[:, 2] - 1.0).max() < 1e-9  # re(z) = 1
         assert np.abs(points[:, 3]).max() < 1e-9  # im(z) = 0
+
+    @pytest.mark.parametrize(
+        "d", [numrange.TRIDIAGONAL_MIN_DIM - 1, numrange.TRIDIAGONAL_MIN_DIM]
+    )
+    def test_eigensolver_failure_exit_code(self, tmp_path, capsys, d):
+        # finite entries whose Hermitian parts overflow: the batched eigh below
+        # the crossover and the tridiagonal route from it on both fail to solve
+        path = tmp_path / "huge.json"
+        iofmt.write_matrix(path, np.full((d, d), 1.5e308 + 1.5e308j))
+        matrix, _ = iofmt.read_matrix(path)
+        with np.errstate(all="ignore"):
+            with pytest.raises(linalg.EigendecompositionError):
+                numrange.support_profile(matrix)
+            code = run_cli("range", "--input", str(path), "--out-dir", str(tmp_path))
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_polar_fix_restores_strict_unitarity(self, demo_file, tmp_path):
         code = run_cli(

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 from scipy.optimize import minimize_scalar
 
-from nrsteer import cli, demo, iofmt, numrange
-from nrsteer.linalg import EigendecompositionError, schatten_inf, unitary_eig
+from nrsteer import cli, demo, iofmt, linalg, numrange
+from nrsteer.linalg import EigendecompositionError, _stack_slices, schatten_inf, unitary_eig
 from nrsteer.numrange import (
     BOUNDARY_WITHIN_TOL,
     INSIDE,
@@ -20,7 +20,6 @@ from nrsteer.numrange import (
     origin_verdict,
     support_profile,
     widest_gap,
-    _angles_per_block,
     _cell_lower_bounds,
     _hermitian_parts,
 )
@@ -178,8 +177,8 @@ class TestSupportSweep:
         # below the crossover the sweep runs batched eigh blocks; shrink them
         # so that the 360 solved angles of a 720 grid span several
         d = TRIDIAGONAL_MIN_DIM - 1
-        monkeypatch.setattr(numrange, "SWEEP_BLOCK_BYTES", 16 * d * d * 50)
-        assert 360 > 2 * _angles_per_block(d)
+        monkeypatch.setattr(linalg, "STACK_BYTES", 16 * d * d * 50)
+        assert len(_stack_slices(360, 16 * d * d)) > 2
         self.check_against_per_angle(sweep_input("non-normal", d, seed=3), 720)
 
     @pytest.mark.parametrize("n", [16, 17])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from nrsteer import demo, perturb
+from nrsteer import demo, linalg, perturb
 from nrsteer.linalg import EigenspaceIsometry, schatten_inf, unitary_eig
 from nrsteer.perturb import (
     MAX_TRACK_STEP,
@@ -312,7 +312,7 @@ class TestTrackTrajectory:
         fixture = degenerate_fixture(5, 3, 1, rng)
         gen = PerturbationGenerator(p=rng.dirichlet(np.ones(5)), direction="cw")
         whole = track_trajectory(fixture.matrix, gen, t_end=2.0)
-        monkeypatch.setattr(perturb, "STACK_BYTES", 1)  # one matrix per stack
+        monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one matrix per stack
         single = track_trajectory(fixture.matrix, gen, t_end=2.0)
         assert whole.t_grid.tolist() == single.t_grid.tolist()
         assert whole.max_step_residual == single.max_step_residual

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from nrsteer import linalg, verify
-from nrsteer.linalg import schatten_inf, unitary_eig
+from nrsteer.linalg import CLUSTER_TOL, schatten_inf, unitary_eig
 from nrsteer.numrange import OUTSIDE, contains_zero_general, contains_zero_unitary
 from nrsteer.perturb import PerturbationGenerator
 from nrsteer.testkit import (
@@ -70,6 +70,10 @@ class TestDegenerateFixture:
     def test_construction_self_validates(self, d, k, l):
         fixture = degenerate_fixture(d, k, l, seed=d * 100 + k * 10 + l)
         assert fixture.multiplicity == k
+        # the cluster that validated the multiplicity is kept for its users
+        members = list(fixture.system.groups[fixture.group])
+        assert len(members) == k
+        assert np.abs(fixture.system.values[members] - fixture.eigenvalue).max() <= CLUSTER_TOL
         assert int(np.sum(fixture.p > 0)) == l
         assert fixture.p.sum() == pytest.approx(1.0, abs=1e-12)
 
