@@ -15,7 +15,6 @@ from .linalg import (  # noqa: E402
     BranchCutWarning,
     EigendecompositionError,
     EigenSystem,
-    EigenspaceIsometry,
     check_hermitian,
     check_unitary,
     geodesic_point,
@@ -39,9 +38,7 @@ from .perturb import (  # noqa: E402
     TrackingCollisionError,
     TrajectoryRecord,
     compress_generator,
-    first_order_eigenvalue,
     perturbed_unitary,
-    simple_velocity,
     stationarity_certificate,
     track_trajectory,
 )

@@ -4,8 +4,8 @@ Everything here works on plain complex ``numpy`` arrays.  Matrices are
 validated at API boundaries (:func:`check_unitary`, :func:`check_hermitian`)
 instead of being wrapped in dedicated classes, once: callers that already
 hold a checked unitary use the unchecked core ``_unitary_eig``, which also
-decomposes a (K, d, d) stack in one batched solve; structured results
-(:class:`EigenSystem`, :class:`EigenspaceIsometry`) are frozen dataclasses.
+decomposes a (K, d, d) stack in one batched solve; its result
+(:class:`EigenSystem`) is a frozen dataclass.
 
 The unitary eigendecomposition starts from a symmetric eigenproblem: a
 unitary U is normal, so it commutes with its Hermitian part A = (U + U†)/2
@@ -42,7 +42,6 @@ __all__ = [
     "BranchCutWarning",
     "EigendecompositionError",
     "EigenSystem",
-    "EigenspaceIsometry",
     "as_complex_matrix",
     "check_unitary",
     "check_hermitian",
@@ -175,20 +174,6 @@ class EigenSystem:
                 m = self.values[list(g)].mean()
                 reps.append(m / abs(m) if abs(m) > 0 else self.values[g[0]])
         return np.array(reps)
-
-    def isometry(self, group_index: int) -> "EigenspaceIsometry":
-        """Orthonormal-column isometry spanning the cluster's eigenspace."""
-        g = list(self.groups[group_index])
-        rep = self.representatives()[group_index]
-        return EigenspaceIsometry(columns=self.vectors[:, g], eigenvalue=rep)
-
-
-@dataclass(frozen=True)
-class EigenspaceIsometry:
-    """d×k matrix with orthonormal columns spanning one eigenspace."""
-
-    columns: np.ndarray
-    eigenvalue: complex
 
 
 def _cluster_on_circle(values: np.ndarray, tol: float) -> list[list[int]]:

@@ -17,14 +17,13 @@ every eigenvalue turns the same way, so no move of a true match is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     UNITARITY_TOL,
     EigenSystem,
-    EigenspaceIsometry,
     _stack_slices,
     _unitary_eig,
     check_unitary,
@@ -52,41 +51,38 @@ __all__ = [
     "TrackingCollisionError",
     "perturbed_unitary",
     "angular_speeds",
-    "simple_velocity",
-    "first_order_eigenvalue",
     "compress_generator",
     "stationarity_certificate",
     "track_trajectory",
 ]
 
 
-def _direction_sign(direction: str) -> float:
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}; expected 'ccw' or 'cw'")
-    return 1.0 if DIRECTIONS[direction] == CCW else -1.0
-
-
 @dataclass(frozen=True)
 class PerturbationGenerator:
-    """Probability vector p (defining diag(p)) plus a rotation direction."""
+    """Probability vector p (defining diag(p)) plus a rotation direction.
+
+    Any alias in ``DIRECTIONS`` is stored as its name; ``sign`` is +1 for ccw, −1 for cw.
+    """
 
     p: np.ndarray
     direction: str = CCW
+    sign: float = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("p must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"p must be finite, got {p.tolist()}")
         if np.any(p < 0):
             raise ValueError("p must be nonnegative")
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"p must sum to 1 within {PROB_SUM_TOL}, got {p.sum()!r}")
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}; expected 'ccw' or 'cw'")
         object.__setattr__(self, "p", p)
-        _direction_sign(self.direction)
-
-    @property
-    def sign(self) -> float:
-        return _direction_sign(self.direction)
+        object.__setattr__(self, "direction", DIRECTIONS[self.direction])
+        object.__setattr__(self, "sign", 1.0 if self.direction == CCW else -1.0)
 
 
 def perturbed_unitary(u: np.ndarray, gen: PerturbationGenerator, t: float) -> np.ndarray:
@@ -106,24 +102,6 @@ def angular_speeds(vectors: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.asarray(p, dtype=np.float64) @ np.abs(vectors) ** 2
 
 
-def simple_velocity(x: np.ndarray, p: np.ndarray) -> float:
-    """Angular speed Σ_i p_i |x_i|² of a nondegenerate eigenvalue.
-
-    :func:`angular_speeds` of one column, after checking that ``x`` is a unit
-    vector.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"x must be a unit vector, got norm {nrm!r}")
-    return float(angular_speeds(x, p))
-
-
-def first_order_eigenvalue(lam: complex, speed: float, t: float, direction: str = CCW) -> complex:
-    """First-order position λ·exp(±i·speed·t) of a rotating eigenvalue."""
-    return lam * np.exp(1j * _direction_sign(direction) * speed * t)
-
-
 @dataclass(frozen=True)
 class CompressedPerturbation:
     """diag(p) compressed into one eigenspace.
@@ -137,14 +115,12 @@ class CompressedPerturbation:
     split_vectors: np.ndarray
 
 
-def compress_generator(iso: EigenspaceIsometry, p: np.ndarray) -> CompressedPerturbation:
-    """Compression I†·diag(p)·I of the weight matrix into an eigenspace."""
+def compress_generator(cols: np.ndarray, p: np.ndarray) -> CompressedPerturbation:
+    """Compression I†·diag(p)·I of the weight matrix onto the eigenspace spanned by I = ``cols``.
+
+    The k columns of ``cols`` are orthonormal.
+    """
     p = np.asarray(p, dtype=np.float64)
-    cols = iso.columns
-    if cols.shape[1] == 1:
-        # 1x1 case delegates to simple_velocity so both speed paths agree exactly
-        s = simple_velocity(cols[:, 0], p)
-        return CompressedPerturbation(speeds=np.array([s]), split_vectors=cols.copy())
     q = cols.conj().T @ (p[:, None] * cols)
     q = (q + q.conj().T) / 2
     speeds, modes = np.linalg.eigh(q)
@@ -163,17 +139,18 @@ class StationarityCertificate:
 
 def stationarity_certificate(
     u: np.ndarray,
-    iso: EigenspaceIsometry,
+    cols: np.ndarray,
+    eigenvalue: complex,
     p: np.ndarray,
     probe_t: float = 1.0,
 ) -> StationarityCertificate:
-    """Decide whether the eigenvalue of ``iso`` stays fixed under U·V(t).
+    """Decide whether ``eigenvalue``, with eigenspace I = ``cols``, stays fixed under U·V(t).
 
     Stationary iff the compressed weight matrix has an eigenvalue of at most
     ``STATIONARY_TOL``; the witness I|v_min⟩ is then verified to be an
     eigenvector of U·V(probe_t) with the original eigenvalue.
     """
-    comp = compress_generator(iso, p)
+    comp = compress_generator(cols, p)
     min_speed = float(comp.speeds[0])
     if min_speed > STATIONARY_TOL:
         return StationarityCertificate(
@@ -181,7 +158,7 @@ def stationarity_certificate(
         )
     witness = comp.split_vectors[:, 0]
     moved = perturbed_unitary(u, PerturbationGenerator(p=p), probe_t) @ witness
-    residual = float(np.linalg.norm(moved - iso.eigenvalue * witness))
+    residual = float(np.linalg.norm(moved - eigenvalue * witness))
     return StationarityCertificate(
         stationary=True, min_speed=min_speed, witness=witness, probe_residual=residual
     )
@@ -233,17 +210,17 @@ def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray, sign: float) -> np.
     if all(len(g) == 1 for g in system.groups):
         return system.vectors
     adapted = system.vectors.copy()
-    for gi, g in enumerate(system.groups):
+    for g in system.groups:
         if len(g) > 1:
-            split = compress_generator(system.isometry(gi), p).split_vectors
+            split = compress_generator(system.vectors[:, list(g)], p).split_vectors
             adapted[:, list(g)] = split if sign > 0 else split[:, ::-1]
     return adapted
 
 
 def _base_grid(t_end: float, marks: list[float]) -> np.ndarray:
-    """Steps of ``MAX_TRACK_STEP`` from 0, landing exactly on each mark and on ``t_end``."""
+    """At least one step of ``MAX_TRACK_STEP`` from 0, landing exactly on each mark and on t_end."""
     ts = [0.0]
-    while ts[-1] < t_end - 1e-15:
+    while len(ts) == 1 or ts[-1] < t_end - 1e-15:
         limit = next((m for m in marks if m > ts[-1] + 1e-15), t_end)
         t = ts[-1] + MAX_TRACK_STEP
         ts.append(limit if t >= limit - 1e-15 else t)  # the mark itself, not an ulp short
@@ -310,8 +287,8 @@ def track_trajectory(
     U is checked for unitarity once, here: every U·V(t) only rescales its
     columns by unit phases and keeps its unitarity defect.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     u = check_unitary(u, tol=unitarity_tol)
     if gen.p.shape[0] != u.shape[0]:
         raise ValueError("generator dimension does not match the matrix")

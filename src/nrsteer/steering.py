@@ -105,7 +105,7 @@ def speed_profile(system: EigenSystem) -> np.ndarray:
 
 
 def select_generator(
-    system: EigenSystem, profile: np.ndarray
+    system: EigenSystem, profile: np.ndarray, widest: tuple[float, int, int]
 ) -> tuple[PerturbationGenerator, tuple[int, int]]:
     """One-hot weight vector and direction closing the certifying gap fastest.
 
@@ -113,11 +113,11 @@ def select_generator(
     rate S[a,i] − S[b,i] under ccw rotation with weight e_i (the sign flips
     for cw), so the basis index with the largest absolute row difference is
     chosen and the sign dictates the direction.  Ties resolve to the lowest
-    basis index.  The gap (a, b) is the one :func:`~nrsteer.numrange.widest_gap`
-    finds; its width is the gap test of
-    :func:`~nrsteer.numrange.contains_zero_unitary`, computed once here.
+    basis index.  The gap (a, b) is ``widest``, the ``widest_gap(system)``
+    of :func:`~nrsteer.numrange.widest_gap`; its width is the gap test of
+    :func:`~nrsteer.numrange.contains_zero_unitary`.
     """
-    gap, start, end = widest_gap(system)
+    gap, start, end = widest
     if _gap_verdict(gap) != OUTSIDE:
         raise NothingToSteerError("nothing to steer: 0 already lies in the numerical range")
     a, b = system.groups[start][0], system.groups[end][0]
@@ -181,11 +181,12 @@ class _OneHotSpectrum:
     fixed, as does a whole cluster of weight at most ``DEFLATION_TOL``.  A
     single moving eigenvalue turns rigidly by speed·t.  Otherwise the moving
     roots come from the :class:`_CayleyFrame` centred on the middle of U's
-    widest gap, or from one a quarter gap further on when that gives the
-    larger |R|/‖z‖²: R = 0 puts a root on the centre, out of dlasd4's reach.
+    widest gap ``widest`` (as :func:`~nrsteer.numrange.widest_gap` gives it),
+    or from one a quarter gap further on when that gives the larger
+    |R|/‖z‖²: R = 0 puts a root on the centre, out of dlasd4's reach.
     """
 
-    def __init__(self, system: EigenSystem, i: int, speed: float):
+    def __init__(self, system: EigenSystem, i: int, speed: float, widest: tuple[float, int, int]):
         angles = np.angle(system.representatives())
         sizes = np.array([len(g) for g in system.groups])
         w = np.abs(system.vectors[i]) ** 2
@@ -196,7 +197,7 @@ class _OneHotSpectrum:
         self.moving = angles[moving]
         self.frames = ()
         if len(self.moving) > 1:
-            gap, start, _ = widest_gap(system)
+            gap, start, _ = widest
             center = angles[start] + gap / 2
             self.frames = tuple(
                 _CayleyFrame(self.moving, weights[moving], c) for c in (center, center + gap / 4)
@@ -228,18 +229,22 @@ def min_time_search(
     one-hot (p = e_i), as the generators of :func:`select_generator` are;
     any other p raises ``ValueError``.
     """
-    u = check_unitary(u, tol=RELAXED_UNITARITY_TOL)
-    return _min_time_search(_unitary_eig(u), gen, t_horizon, tol_t)
+    system = _unitary_eig(check_unitary(u, tol=RELAXED_UNITARITY_TOL))
+    return _min_time_search(system, gen, t_horizon, tol_t, widest_gap(system))
 
 
 def _min_time_search(
-    system: EigenSystem, gen: PerturbationGenerator, t_horizon: float, tol_t: float
+    system: EigenSystem,
+    gen: PerturbationGenerator,
+    t_horizon: float,
+    tol_t: float,
+    widest: tuple[float, int, int],
 ) -> tuple[float | None, str]:
-    """:func:`min_time_search` on the eigensystem of a checked U."""
-    if t_horizon <= 0:
-        raise ValueError(f"t_horizon must be positive, got {t_horizon}")
-    if tol_t <= 0:
-        raise ValueError(f"tol_t must be positive, got {tol_t}")
+    """:func:`min_time_search` on the eigensystem of a checked U and its ``widest_gap``."""
+    if not 0 < t_horizon < np.inf:
+        raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
+    if not 0 < tol_t < np.inf:
+        raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
     if gen.p.shape[0] != system.dim:
         raise ValueError(
             f"dimension mismatch: U is {system.dim}×{system.dim}, p has {gen.p.shape[0]} entries"
@@ -248,7 +253,7 @@ def _min_time_search(
     if len(support) != 1:
         raise ValueError(f"the t* search needs a one-hot p = e_i, got p = {gen.p.tolist()}")
     i = int(support[0])
-    spectrum = _OneHotSpectrum(system, i, gen.sign * gen.p[i])
+    spectrum = _OneHotSpectrum(system, i, gen.sign * gen.p[i], widest)
 
     def margin_at(t: float) -> tuple[float, str]:
         gap = _widest_arc(spectrum.angles(t))[0]
@@ -291,8 +296,9 @@ def plan(u: np.ndarray, t_horizon: float = 2 * np.pi, tol_t: float = 1e-3) -> St
 
 def _plan(system: EigenSystem, t_horizon: float, tol_t: float) -> SteeringPlan:
     """:func:`plan` on the eigensystem of a checked U."""
-    gen, gap = select_generator(system, speed_profile(system))
-    t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t)
+    widest = widest_gap(system)
+    gen, gap = select_generator(system, speed_profile(system), widest)
+    t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t, widest)
     norm = perturbation_cost(gen.p, t_star) if t_star is not None else None
     return SteeringPlan(
         p=gen.p,

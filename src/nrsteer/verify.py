@@ -5,8 +5,9 @@ property of the perturbation machinery:
 
 * ``velocity-budget``: the absolute eigenvalue velocities sum to 1 at every
   tracked step;
-* ``monotone-rotation``: unwrapped eigenvalue arguments never move against
-  the rotation direction;
+* ``monotone-rotation``: eigenvalue paths never move against the rotation
+  direction, read from the tracker-independent oracle
+  :func:`~nrsteer.testkit.assignment_paths`;
 * ``stationary-witness``: a zero-speed eigenspace member stays an eigenvector
   of U·V(t) at probe times spanning three decades;
 * ``residual-multiplicity``: when the weight support is smaller than the
@@ -26,14 +27,13 @@ from .linalg import CLUSTER_TOL, _unitary_eig, unitary_eig
 from .perturb import (
     CCW,
     PerturbationGenerator,
+    angular_speeds,
     compress_generator,
-    first_order_eigenvalue,
     perturbed_unitary,
-    simple_velocity,
     stationarity_certificate,
     track_trajectory,
 )
-from .testkit import degenerate_fixture, haar_unitary
+from .testkit import assignment_paths, degenerate_fixture, haar_unitary
 
 BUDGET_TOL = 1e-8
 MONOTONE_TOL = 1e-9
@@ -90,7 +90,12 @@ def _scaled(n_trials: int, divisor: int) -> int:
 def run_budget_and_monotonicity(
     seed: int, n_trials: int, dims: tuple[int, ...] = (2, 3, 4, 5, 6)
 ) -> tuple[PropertyOutcome, PropertyOutcome]:
-    """Track Haar-random instances ccw to ``TRACK_T_END``; check speed budget and monotonicity."""
+    """Track Haar-random instances ccw to ``TRACK_T_END``; check speed budget and monotonicity.
+
+    Monotonicity is read from :func:`~nrsteer.testkit.assignment_paths` on the
+    tracker's grid, which shares neither its eigensolver nor its rank match:
+    the tracker's own step check already rejects any backward move of its paths.
+    """
     rng = np.random.default_rng(seed)
     budget = PropertyOutcome(name="velocity-budget", trials=n_trials)
     mono = PropertyOutcome(name="monotone-rotation", trials=n_trials)
@@ -102,8 +107,8 @@ def run_budget_and_monotonicity(
         budget_err = float(np.abs(np.abs(record.velocities).sum(axis=0) - 1.0).max())
         budget.record(budget_err, budget_err <= BUDGET_TOL, f"trial {i}: budget residual {budget_err:.3e}")
 
-        drift = np.diff(record.unwrapped_args, axis=1)
-        worst = float(-drift.min()) if drift.size else 0.0
+        oracle = assignment_paths(u, gen, record.t_grid)
+        worst = float(-np.angle(oracle[:, 1:] / oracle[:, :-1]).min())
         mono.record(max(worst, 0.0), worst <= MONOTONE_TOL, f"trial {i}: backward step {worst:.3e}")
     return budget, mono
 
@@ -121,13 +126,14 @@ def run_stationarity_and_multiplicity(
         k = int(rng.integers(2, d + 1))
         l = int(rng.integers(1, k))
         fixture = degenerate_fixture(d, k, l, rng)
-        iso = fixture.system.isometry(fixture.group)
+        cols = fixture.system.vectors[:, list(fixture.system.groups[fixture.group])]
+        eigenvalue = fixture.system.representatives()[fixture.group]
 
         worst_residual = 0.0
         min_count = fixture.multiplicity
         gen = PerturbationGenerator(p=fixture.p)
         for t in PROBE_TIMES:
-            cert = stationarity_certificate(fixture.matrix, iso, fixture.p, probe_t=t)
+            cert = stationarity_certificate(fixture.matrix, cols, eigenvalue, fixture.p, probe_t=t)
             if not cert.stationary:
                 worst_residual = np.inf
                 break
@@ -169,7 +175,7 @@ def quadratic_remainder_ratio(errors: list[tuple[float, float]]) -> tuple[float,
 
 
 def _first_order_ladder(
-    u: np.ndarray, gen: PerturbationGenerator, eigenvalue: complex, speeds
+    u: np.ndarray, gen: PerturbationGenerator, eigenvalue: complex, speeds: np.ndarray
 ) -> tuple[float, float] | None:
     """:func:`quadratic_remainder_ratio` of the first-order positions down a t-halving ladder.
 
@@ -181,9 +187,7 @@ def _first_order_ladder(
     ladder = []
     t = LADDER_T0
     for _ in range(LADDER_RUNGS):
-        predicted = np.array(
-            [first_order_eigenvalue(eigenvalue, s, t, gen.direction) for s in speeds]
-        )
+        predicted = eigenvalue * np.exp(1j * gen.sign * speeds * t)
         actual = _unitary_eig(perturbed_unitary(u, gen, t)).values
         cost = np.abs(actual[None, :] - predicted[:, None])
         rows, cols = linear_sum_assignment(cost)
@@ -206,8 +210,8 @@ def run_first_order_simple(
         gen = PerturbationGenerator(p=p)
         system = unitary_eig(u)
         j = int(rng.integers(d))
-        speed = simple_velocity(system.vectors[:, j], p)
-        hit = _first_order_ladder(u, gen, system.values[j], [speed])
+        speeds = angular_speeds(system.vectors[:, j : j + 1], p)
+        hit = _first_order_ladder(u, gen, system.values[j], speeds)
         if hit is None:
             outcome.record(np.inf, False, f"instance {i}: no rung with quadratic ratio")
         else:
@@ -234,9 +238,10 @@ def run_first_order_split(
         fixture = degenerate_fixture(d, k, k - 1, rng)  # fixture geometry; p below is full
         p = rng.dirichlet(np.ones(d))
         gen = PerturbationGenerator(p=p)
-        iso = fixture.system.isometry(fixture.group)
-        speeds = compress_generator(iso, p).speeds
-        hit = _first_order_ladder(fixture.matrix, gen, iso.eigenvalue, speeds)
+        cols = fixture.system.vectors[:, list(fixture.system.groups[fixture.group])]
+        speeds = compress_generator(cols, p).speeds
+        eigenvalue = fixture.system.representatives()[fixture.group]
+        hit = _first_order_ladder(fixture.matrix, gen, eigenvalue, speeds)
         if hit is None:
             outcome.record(np.inf, False, f"instance {i}: no rung with quadratic ratio")
         else:
@@ -249,13 +254,19 @@ def run_all(
     n_trials: int = 100,
     dims: tuple[int, ...] = (2, 3, 4, 5, 6),
 ) -> list[PropertyOutcome]:
-    """Full suite with trial counts scaled from ``n_trials``."""
+    """Full suite with trial counts scaled from ``n_trials``.
+
+    A 1×1 unitary turns exactly at first order and leaves no remainder to
+    measure, so the simple first-order runner, like the fixture runner, gets d ≥ 2.
+    """
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be nonnegative, got {n_trials}")
     budget, mono = run_budget_and_monotonicity(seed, n_trials, dims)
-    fix_dims = tuple(d for d in dims if d >= 2) or (3,)
+    dims2 = tuple(d for d in dims if d >= 2) or (3,)
     stationary, multiplicity = run_stationarity_and_multiplicity(
-        seed + 1, _scaled(n_trials, 2), fix_dims
+        seed + 1, _scaled(n_trials, 2), dims2
     )
-    simple = run_first_order_simple(seed + 2, _scaled(n_trials, 2), dims)
+    simple = run_first_order_simple(seed + 2, _scaled(n_trials, 2), dims2)
     split_dims = tuple(d for d in dims if d >= 3) or (3,)
     split = run_first_order_split(seed + 3, _scaled(n_trials, 5), split_dims)
     return [budget, mono, stationary, multiplicity, simple, split]

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nrsteer import cli, demo, iofmt, linalg, numrange, perturb, steering
+from nrsteer import cli, demo, iofmt, linalg, numrange, perturb, steering, verify
 from nrsteer.perturb import TrackingCollisionError
 from nrsteer.testkit import degenerate_fixture
 
@@ -20,6 +20,14 @@ def demo_file(tmp_path):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def exit_code(*argv):
+    """Exit code of ``run_cli``, whether it returns it or argparse exits with it."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestMatrixFiles:
@@ -91,6 +99,25 @@ class TestMatrixFiles:
         code = run_cli("range", "--input", str(path), "--out-dir", str(tmp_path))
         assert code == cli.EXIT_PARSE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file"),
+            ("[1, 2]", "expected a JSON object at top level"),
+            ('{"entries": [[1, 0]]}', "missing or invalid 'dim'/'entries' fields"),
+            ('{"dim": 0, "entries": []}', "dim must be positive, got 0"),
+            ('{"dim": -2, "entries": []}', "dim must be positive, got -2"),
+        ],
+        ids=["missing-file", "not-an-object", "no-dim", "zero-dim", "negative-dim"],
+    )
+    def test_bad_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+        code = run_cli("range", "--input", str(path), "--out-dir", str(tmp_path))
+        assert code == cli.EXIT_PARSE
+        assert message in capsys.readouterr().err
 
 
 class TestRangeCommand:
@@ -185,6 +212,43 @@ class TestSteerCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["plan"]["verdict"] == "not_reached_within_horizon"
         assert report["plan"]["t_star"] is None
+
+
+class TestInputChecks:
+    """Inputs the commands reject on entry: exit 2 with an error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dims", "2,x"],
+            ["verify", "--dims", "0"],
+            ["verify", "--trials", "-1"],
+            ["trajectory", "--p", "0,a,1"],
+            ["trajectory", "--p", "nan,1,0"],
+            ["trajectory", "--p", "0,1,0", "--direction", "up"],
+            ["trajectory", "--p", "0,1,0", "--horizon", "nan"],
+            ["trajectory", "--p", "0,1,0", "--horizon", "inf"],
+            ["steer", "--horizon", "nan"],
+            ["steer", "--horizon", "inf"],
+            ["steer", "--tol-t", "nan"],
+        ],
+        ids=lambda argv: "_".join(argv),
+    )
+    def test_rejected(self, demo_file, tmp_path, capsys, argv):
+        if argv[0] != "verify":
+            argv = argv + ["--input", demo_file, "--out-dir", str(tmp_path)]
+        assert exit_code(*argv) == cli.EXIT_PARSE
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_horizon_within_the_snap_gets_one_step(self, demo_file, tmp_path):
+        code = run_cli(
+            "trajectory", "--input", demo_file, "--p", "0,1,0", "--horizon", "1e-20",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0] * 3 + [1e-20] * 3
 
 
 class TestParserReuse:
@@ -331,6 +395,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+    def test_one_by_one_unitaries_pass(self, capsys):
+        # a 1×1 unitary turns exactly at first order: the first-order runners skip d = 1
+        code = run_cli("verify", "--trials", "4", "--dims", "1")
+        assert code == 0
+        assert capsys.readouterr().out.count("PASS") == 6
+
+    def test_failure_prints_details(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "RATIO_WINDOW", (100.0, 200.0))  # no rung can qualify
+        code = run_cli("verify", "--trials", "4", "--dims", "3")
+        assert code == cli.EXIT_CHECK
+        out = capsys.readouterr().out
+        assert "FAIL first-order-simple: trials=2 failures=2 max_residual=inf" in out
+        assert "    instance 0: no rung with quadratic ratio" in out
+
+    def test_monotone_rotation_reads_the_oracle(self, capsys, monkeypatch):
+        # oracle paths mirrored to turn cw; the tracker's own ccw paths are untouched
+        real = verify.assignment_paths
+        monkeypatch.setattr(verify, "assignment_paths", lambda *args: real(*args).conj())
+        assert run_cli("verify", "--trials", "2", "--dims", "3") == cli.EXIT_CHECK
+        out = capsys.readouterr().out
+        assert "FAIL monotone-rotation: trials=2 failures=2" in out
+        assert "PASS velocity-budget" in out
 
     def test_zero_trials_vacuous_with_warning(self, capsys):
         code = run_cli("verify", "--trials", "0")

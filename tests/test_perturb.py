@@ -5,25 +5,32 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nrsteer import demo, linalg, perturb
-from nrsteer.linalg import EigenspaceIsometry, schatten_inf, unitary_eig
+from nrsteer.linalg import schatten_inf, unitary_eig
+from nrsteer.numrange import BOUNDARY_GAP_TOL
 from nrsteer.perturb import (
     MAX_TRACK_STEP,
     STEP_TOL,
     PerturbationGenerator,
     TrackingCollisionError,
+    angular_speeds,
     compress_generator,
-    first_order_eigenvalue,
     perturbed_unitary,
-    simple_velocity,
     stationarity_certificate,
     track_trajectory,
 )
+from nrsteer.steering import plan
 from nrsteer.testkit import assignment_paths, degenerate_fixture, fd_velocity, haar_unitary
 from nrsteer.verify import run_first_order_simple, run_first_order_split
 
 
 def uniform_gen(d, direction="ccw"):
     return PerturbationGenerator(p=np.full(d, 1.0 / d), direction=direction)
+
+
+def largest_cluster(system):
+    """Columns spanning the largest cluster's eigenspace, and its eigenvalue."""
+    group = max(range(len(system.groups)), key=lambda g: len(system.groups[g]))
+    return system.vectors[:, list(system.groups[group])], system.representatives()[group]
 
 
 class TestGenerator:
@@ -34,9 +41,15 @@ class TestGenerator:
             PerturbationGenerator(p=np.array([-0.5, 1.5]))
         with pytest.raises(ValueError):
             PerturbationGenerator(p=np.array([1.0]), direction="up")
+        for bad in ([np.nan, 1.0, 0.0], [np.inf, 0.0], [-np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                PerturbationGenerator(p=np.array(bad))
 
     def test_direction_aliases(self):
-        assert PerturbationGenerator(p=np.array([1.0]), direction="clockwise").sign == -1
+        gen = PerturbationGenerator(p=np.array([1.0]), direction="clockwise")
+        assert gen.direction == "cw" and gen.sign == -1
+        gen = PerturbationGenerator(p=np.array([1.0]), direction="counterclockwise")
+        assert gen.direction == "ccw" and gen.sign == 1
         assert PerturbationGenerator(p=np.array([1.0]), direction="ccw").sign == 1
 
 
@@ -65,21 +78,20 @@ class TestPerturbedUnitary:
 
 
 class TestSimpleVelocity:
+    """The speed Σ p_i |x_i|² of a simple eigenvalue, from ``angular_speeds``."""
+
     def test_uniform_weights(self):
         x = haar_unitary(4, 3)[:, 0]
-        assert simple_velocity(x, np.full(4, 0.25)) == pytest.approx(0.25, abs=1e-12)
+        assert angular_speeds(x, np.full(4, 0.25)) == pytest.approx(0.25, abs=1e-12)
 
     def test_disjoint_support(self):
-        assert simple_velocity(np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0.0])) == 0.0
+        assert angular_speeds(np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0.0])) == 0.0
 
     def test_demo_profile_entry(self):
         system = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4)
-        speeds = sorted(
-            simple_velocity(system.vectors[:, j], np.array([0.0, 1.0, 0.0]))
-            for j in range(3)
-        )
+        speeds = np.sort(angular_speeds(system.vectors, np.array([0.0, 1.0, 0.0])))
         expected = sorted(demo.REFERENCE_SPEED_PROFILE[:, 1])
-        assert np.abs(np.array(speeds) - expected).max() < 1e-4
+        assert np.abs(speeds - expected).max() < 1e-4
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
@@ -87,26 +99,30 @@ class TestSimpleVelocity:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         x /= np.linalg.norm(x)
-        s = simple_velocity(x, rng.dirichlet(np.ones(5)))
+        s = angular_speeds(x, rng.dirichlet(np.ones(5)))
         assert -1e-12 <= s <= 1 + 1e-12
-
-    def test_requires_unit_norm(self):
-        with pytest.raises(ValueError):
-            simple_velocity(np.array([2.0, 0.0]), np.array([0.5, 0.5]))
 
 
 class TestFirstOrder:
+    """λ·exp(±i·s·t) is exact when U is diagonal: U·V(t) stays diagonal."""
+
+    @staticmethod
+    def moved(values, p, direction, t):
+        gen = PerturbationGenerator(p=np.array(p), direction=direction)
+        return np.diag(perturbed_unitary(np.diag(values), gen, t))
+
     def test_zero_speed_stays(self):
+        assert angular_speeds(np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0.0])) == 0.0
         for t in (0.0, 1.0, 7.0):
-            assert first_order_eigenvalue(1j, 0.0, t) == 1j
+            assert self.moved([1j, 1, -1], [0.0, 1.0, 0.0], "ccw", t)[0] == 1j
 
     def test_quarter_turn(self):
-        out = first_order_eigenvalue(1.0, 1.0, np.pi / 2)
-        assert out == pytest.approx(1j, abs=1e-12)
+        out = self.moved([1.0, -1.0], [1.0, 0.0], "ccw", np.pi / 2)
+        assert out[0] == pytest.approx(1j, abs=1e-12) and out[1] == -1.0
 
     def test_clockwise_flip(self):
-        out = first_order_eigenvalue(1.0, 1.0, np.pi / 2, direction="cw")
-        assert out == pytest.approx(-1j, abs=1e-12)
+        out = self.moved([1.0, -1.0], [1.0, 0.0], "cw", np.pi / 2)
+        assert out[0] == pytest.approx(-1j, abs=1e-12) and out[1] == -1.0
 
     def test_quadratic_remainder_on_random_instances(self):
         outcome = run_first_order_simple(seed=77, n_instances=6)
@@ -114,34 +130,31 @@ class TestFirstOrder:
 
 
 class TestCompression:
-    def test_singleton_matches_simple_velocity_exactly(self):
+    def test_singleton_matches_angular_speeds(self):
         u = haar_unitary(4, 9)
         system = unitary_eig(u)
         p = np.random.default_rng(9).dirichlet(np.ones(4))
-        iso = system.isometry(0)
-        assert iso.columns.shape[1] == 1
-        comp = compress_generator(iso, p)
-        assert comp.speeds[0] == simple_velocity(iso.columns[:, 0], p)
+        cols = system.vectors[:, list(system.groups[0])]
+        assert cols.shape[1] == 1
+        comp = compress_generator(cols, p)
+        assert comp.speeds[0] == pytest.approx(angular_speeds(cols[:, 0], p), abs=1e-15)
+        assert np.abs(np.abs(comp.split_vectors) - np.abs(cols)).max() <= 1e-15
 
     def test_identity_standard_basis(self):
         p = np.array([0.5, 0.2, 0.3])
-        iso = EigenspaceIsometry(columns=np.eye(3, dtype=complex), eigenvalue=1.0)
-        comp = compress_generator(iso, p)
+        comp = compress_generator(np.eye(3, dtype=complex), p)
         assert np.allclose(comp.speeds, sorted(p), atol=1e-15)
 
     def test_speeds_within_unit_interval(self):
         fixture = degenerate_fixture(5, 3, 1, seed=13)
-        system = unitary_eig(fixture.matrix)
-        group = max(range(len(system.groups)), key=lambda g: len(system.groups[g]))
-        comp = compress_generator(system.isometry(group), np.full(5, 0.2))
+        cols, _ = largest_cluster(unitary_eig(fixture.matrix))
+        comp = compress_generator(cols, np.full(5, 0.2))
         assert np.all(comp.speeds >= -1e-12) and np.all(comp.speeds <= 1 + 1e-12)
 
     def test_split_vectors_stay_in_eigenspace(self):
         fixture = degenerate_fixture(4, 2, 1, seed=14)
-        system = unitary_eig(fixture.matrix)
-        group = max(range(len(system.groups)), key=lambda g: len(system.groups[g]))
-        iso = system.isometry(group)
-        comp = compress_generator(iso, np.full(4, 0.25))
+        cols, _ = largest_cluster(unitary_eig(fixture.matrix))
+        comp = compress_generator(cols, np.full(4, 0.25))
         for col in comp.split_vectors.T:
             residual = fixture.matrix @ col - fixture.eigenvalue * col
             assert np.linalg.norm(residual) < 1e-9
@@ -156,7 +169,8 @@ class TestStationarity:
         u = np.diag([1.0, 1j, -1j])
         system = unitary_eig(u)
         idx = next(g for g, grp in enumerate(system.groups) if abs(system.values[grp[0]] - 1) < 1e-12)
-        cert = stationarity_certificate(u, system.isometry(idx), np.array([0.0, 1.0, 0.0]))
+        cols = system.vectors[:, list(system.groups[idx])]
+        cert = stationarity_certificate(u, cols, 1.0, np.array([0.0, 1.0, 0.0]))
         assert cert.stationary
         assert np.abs(np.abs(cert.witness) - [1, 0, 0]).max() < 1e-12
         assert cert.probe_residual < 1e-12
@@ -164,18 +178,16 @@ class TestStationarity:
     def test_uniform_weights_always_move(self):
         u = haar_unitary(4, 15)
         system = unitary_eig(u)
-        cert = stationarity_certificate(u, system.isometry(0), np.full(4, 0.25))
+        cols = system.vectors[:, :1]
+        cert = stationarity_certificate(u, cols, system.values[0], np.full(4, 0.25))
         assert not cert.stationary
         assert cert.min_speed == pytest.approx(0.25, abs=1e-12)
 
     def test_small_support_forces_witness(self):
         fixture = degenerate_fixture(4, 2, 1, seed=16)
-        system = unitary_eig(fixture.matrix)
-        group = max(range(len(system.groups)), key=lambda g: len(system.groups[g]))
+        cols, eigenvalue = largest_cluster(unitary_eig(fixture.matrix))
         for probe in (0.1, 1.0, 10.0):
-            cert = stationarity_certificate(
-                fixture.matrix, system.isometry(group), fixture.p, probe_t=probe
-            )
+            cert = stationarity_certificate(fixture.matrix, cols, eigenvalue, fixture.p, probe_t=probe)
             assert cert.stationary and cert.probe_residual < 1e-9
 
     def test_residual_multiplicity_survives(self):
@@ -389,7 +401,54 @@ class TestTrackTrajectory:
 
     def test_rejects_bad_inputs(self):
         u = haar_unitary(2, 35)
-        with pytest.raises(ValueError):
-            track_trajectory(u, uniform_gen(2), t_end=0.0)
+        for t_end in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_end must be positive and finite"):
+                track_trajectory(u, uniform_gen(2), t_end=t_end)
         with pytest.raises(ValueError):
             track_trajectory(u, uniform_gen(3), t_end=1.0)
+
+    @pytest.mark.parametrize("t_end", [1e-20, 1e-15])
+    def test_end_within_the_snap_gets_one_step(self, t_end):
+        record = track_trajectory(haar_unitary(3, 35), uniform_gen(3), t_end=t_end)
+        assert record.t_grid.tolist() == [0.0, t_end]
+        assert record.paths.shape == (3, 2)
+
+
+class TestClusterAcrossBranchCut:
+    """A 2-fold cluster at −1 whose members sit 1e-10 either side of ±π."""
+
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        x = haar_unitary(4, rng)
+        angles = np.array([np.pi - 1e-10, -np.pi + 1e-10, 2.5, -2.5])
+        return (x * np.exp(1j * angles)) @ x.conj().T, rng.dirichlet(np.ones(4))
+
+    def test_members_form_one_group(self):
+        for seed in range(10):
+            system = unitary_eig(self.instance(seed)[0])
+            # ccw ranks 3 (π − 1e-10) and 0 (−π + 1e-10) merge across the cut
+            assert sorted(system.groups) == [(1,), (2,), (3, 0)]
+
+    @pytest.mark.parametrize("direction", ["ccw", "cw"])
+    def test_start_speeds_are_the_compression(self, direction):
+        for seed in range(10):
+            u, p = self.instance(seed)
+            system = unitary_eig(u)
+            (group,) = [list(g) for g in system.groups if len(g) == 2]
+            split = compress_generator(system.vectors[:, group], p).speeds
+            gen = PerturbationGenerator(p=p, direction=direction)
+            record = track_trajectory(u, gen, t_end=0.1)
+            # ccw ranks get the split speeds ascending for ccw, descending for cw
+            expected = split if direction == "ccw" else split[::-1]
+            assert np.abs(record.speeds()[group, 0] - expected).max() <= 1e-12
+
+    def test_plan_reaches_the_origin(self):
+        for seed in range(10):
+            u, _ = self.instance(seed)
+            result = plan(u)
+            sign = 1.0 if result.direction == "ccw" else -1.0
+            pushed = u * np.exp(1j * sign * result.p * result.t_star)
+            args = np.sort(np.angle(np.linalg.eigvals(pushed)))
+            margin = np.diff(np.append(args, args[0] + 2 * np.pi)).max() - np.pi
+            assert margin <= BOUNDARY_GAP_TOL

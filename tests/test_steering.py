@@ -13,6 +13,7 @@ from nrsteer.numrange import (
     INSIDE,
     OUTSIDE,
     contains_zero_general,
+    widest_gap,
 )
 from nrsteer.perturb import PerturbationGenerator, perturbed_unitary, track_trajectory
 from nrsteer.steering import (
@@ -48,7 +49,7 @@ def circle_distance(a, b):
 def secular_angles(system, i, direction, t):
     """Eigenangles of U·V(t) under the push e_i, from the secular route."""
     speed = 1.0 if direction == "ccw" else -1.0
-    return steering._OneHotSpectrum(system, i, speed).angles(t)
+    return steering._OneHotSpectrum(system, i, speed, widest_gap(system)).angles(t)
 
 
 def reference_angles(u, i, direction, t):
@@ -83,7 +84,7 @@ class TestSpeedProfile:
 class TestSelectGenerator:
     def test_demo_instance(self):
         s = speed_profile(DEMO_SYSTEM)
-        gen, gap = select_generator(DEMO_SYSTEM, s)
+        gen, gap = select_generator(DEMO_SYSTEM, s, widest_gap(DEMO_SYSTEM))
         assert np.array_equal(gen.p, [0.0, 1.0, 0.0])
         assert gen.direction == "cw"
         # the targeted pair carries the reference fast/slow entries
@@ -94,19 +95,19 @@ class TestSelectGenerator:
     def test_near_degenerate_diagonal(self):
         eps = 0.1
         system = unitary_eig(np.diag([1.0, np.exp(1j * eps)]))
-        gen, _ = select_generator(system, speed_profile(system))
+        gen, _ = select_generator(system, speed_profile(system), widest_gap(system))
         assert np.sum(gen.p == 1.0) == 1  # one-hot
 
     def test_tie_breaks_to_lowest_index(self):
         system = unitary_eig(np.diag([1.0, 1j]))
         s = speed_profile(system)
-        gen, _ = select_generator(system, s)
+        gen, _ = select_generator(system, s, widest_gap(system))
         assert gen.p[0] == 1.0  # both columns tie at |diff| = 1
 
     def test_rejects_contained_origin(self):
         system = unitary_eig(np.diag(np.exp(2j * np.pi * np.arange(3) / 3)))
         with pytest.raises(NothingToSteerError):
-            select_generator(system, speed_profile(system))
+            select_generator(system, speed_profile(system), widest_gap(system))
 
 
 class TestMinTimeSearch:
@@ -134,10 +135,12 @@ class TestMinTimeSearch:
 
     def test_validates_parameters(self):
         gen = PerturbationGenerator(p=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            min_time_search(np.eye(2, dtype=complex), gen, 0.0, 1e-3)
-        with pytest.raises(ValueError):
-            min_time_search(np.eye(2, dtype=complex), gen, 1.0, 0.0)
+        for horizon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_horizon must be positive and finite"):
+                min_time_search(np.eye(2, dtype=complex), gen, horizon, 1e-3)
+        for tol_t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol_t must be positive and finite"):
+                min_time_search(np.eye(2, dtype=complex), gen, 1.0, tol_t)
 
     def test_evaluation_cap_raises(self, monkeypatch):
         # the demo search needs more than two margin evaluations
@@ -191,7 +194,8 @@ class TestSecularRoots:
         # where the first chart's R is exactly 0, a root sits on the middle of
         # U's widest gap, at X = ±∞, and that chart cannot place it
         def exact_zero(seed):
-            spectrum = steering._OneHotSpectrum(unitary_eig(conditioned_unitary(6, seed)), 2, 1.0)
+            system = unitary_eig(conditioned_unitary(6, seed))
+            spectrum = steering._OneHotSpectrum(system, 2, 1.0, widest_gap(system))
             first = spectrum.frames[0]
             t = 2 * np.arctan2(1.0, -first.offset)
             for step in range(-60, 61):
@@ -266,6 +270,14 @@ class TestSecularRoots:
         result = plan(conditioned_unitary(16, 2))
         assert result.t_star is not None
         assert calls == [(16, 16)]
+
+    def test_plan_takes_the_widest_gap_once(self, monkeypatch):
+        calls = []
+        real = steering.widest_gap
+        monkeypatch.setattr(steering, "widest_gap", lambda system: calls.append(1) or real(system))
+        result = plan(demo.DEMO_MATRIX)
+        assert result.t_star is not None
+        assert len(calls) == 1
 
 
 class TestPerturbationCost:
