@@ -32,7 +32,6 @@ from .numrange import (  # noqa: E402
     support_profile,
 )
 from .perturb import (  # noqa: E402
-    CompressedPerturbation,
     PerturbationGenerator,
     StationarityCertificate,
     TrackingCollisionError,

@@ -44,8 +44,13 @@ def write_matrix(path, matrix: np.ndarray, label: str | None = None, source: str
         doc["label"] = label
     if source is not None:
         doc["source"] = source
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_json(path, doc)
+
+
+def _write_json(path, doc: dict) -> None:
+    """Indented JSON, sorted keys, trailing newline; numpy values go through ``tolist``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -106,27 +111,23 @@ def _entry(path, k: int, pair) -> tuple[float, float]:
 
 def write_range_csv(path, profile: SupportProfile) -> None:
     """Boundary sweep CSV: theta, h, re(z), im(z)."""
-    lines = ["theta,h,re_z,im_z"]
-    for theta, h, z in zip(profile.angles, profile.support_values, profile.boundary_points):
-        lines.append(
-            f"{format_float(theta)},{format_float(h)},{format_float(z.real)},{format_float(z.imag)}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    z = profile.boundary_points
+    _write_csv(path, "theta,h,re_z,im_z", profile.angles, profile.support_values, z.real, z.imag)
 
 
 def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
     """Tracked-path CSV: t, path index, re/im of the eigenvalue, speed."""
     d, n = record.paths.shape
     z = record.paths.T.ravel()  # step-major, as the rows run
-    rows = zip(
-        np.repeat(record.t_grid, d).tolist(),
-        list(range(d)) * n,
-        z.real.tolist(),
-        z.imag.tolist(),
-        record.speeds().T.ravel().tolist(),
-    )
-    row = "%.17g,%d,%.17g,%.17g,%.17g\n"  # %.17g writes a float as format_float does
-    _write_text(path, "t,j,re_lambda,im_lambda,speed\n" + "".join(map(row.__mod__, rows)))
+    t, j, speed = np.repeat(record.t_grid, d), np.tile(np.arange(d), n), record.speeds().T.ravel()
+    _write_csv(path, "t,j,re_lambda,im_lambda,speed", t, j, z.real, z.imag, speed)
+
+
+def _write_csv(path, header: str, *columns: np.ndarray) -> None:
+    """``header``, then one row per entry of the 1-d ``columns``: ints as %d, floats as %.17g."""
+    row = ",".join(["%d" if c.dtype.kind == "i" else "%.17g" for c in columns]) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    _write_text(path, header + "\n" + "".join(map(row.__mod__, rows)))
 
 
 def _write_text(path, text: str) -> None:

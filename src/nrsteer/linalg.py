@@ -19,6 +19,7 @@ and backward stable however close the eigenvalues in the run lie.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -164,8 +165,9 @@ class EigenSystem:
     def dim(self) -> int:
         return self.values.shape[0]
 
+    @functools.cached_property
     def representatives(self) -> np.ndarray:
-        """One eigenvalue per cluster (normalized cluster mean), ccw order."""
+        """One eigenvalue per cluster (normalized cluster mean), ccw order; computed once."""
         reps = []
         for g in self.groups:
             if len(g) == 1:

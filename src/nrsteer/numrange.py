@@ -212,7 +212,7 @@ def widest_gap(system: EigenSystem) -> tuple[float, int, int]:
     closes ccw at cluster ``end`` (indices into ``system.groups``).  The wrap
     gap across ±π counts; a single cluster has one gap of 2π onto itself.
     """
-    return _widest_arc(np.angle(system.representatives()))
+    return _widest_arc(np.angle(system.representatives))
 
 
 def _widest_arc(args: np.ndarray) -> tuple[float, int, int]:

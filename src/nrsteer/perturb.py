@@ -37,6 +37,7 @@ DIRECTIONS = {CCW: CCW, "counterclockwise": CCW, CW: CW, "clockwise": CW}  # ali
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 MAX_TRACK_STEP = 0.05
+MAX_TRACK_ROWS = 2_000_000  # grid points times eigenvalues in one trajectory
 STEP_TOL = 1e-9  # per move and on the sum of a step's moves
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "DIRECTIONS",
     "STATIONARY_TOL",
     "PerturbationGenerator",
-    "CompressedPerturbation",
     "StationarityCertificate",
     "TrajectoryRecord",
     "TrackingCollisionError",
@@ -102,29 +102,18 @@ def angular_speeds(vectors: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.asarray(p, dtype=np.float64) @ np.abs(vectors) ** 2
 
 
-@dataclass(frozen=True)
-class CompressedPerturbation:
-    """diag(p) compressed into one eigenspace.
-
-    ``speeds`` (ascending eigenvalues of the compression, all in [0, 1]) are
-    the first-order angular speeds of the split; ``split_vectors`` maps the
-    compression eigenvectors back into the full space.
-    """
-
-    speeds: np.ndarray
-    split_vectors: np.ndarray
-
-
-def compress_generator(cols: np.ndarray, p: np.ndarray) -> CompressedPerturbation:
+def compress_generator(cols: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compression I†·diag(p)·I of the weight matrix onto the eigenspace spanned by I = ``cols``.
 
-    The k columns of ``cols`` are orthonormal.
+    The k columns of ``cols`` are orthonormal.  Returns ``(speeds, vectors)``
+    as ``np.linalg.eigh`` does: the speeds of the split (ascending, in [0, 1])
+    and the compression's eigenvectors mapped back into the full space.
     """
     p = np.asarray(p, dtype=np.float64)
     q = cols.conj().T @ (p[:, None] * cols)
     q = (q + q.conj().T) / 2
     speeds, modes = np.linalg.eigh(q)
-    return CompressedPerturbation(speeds=speeds, split_vectors=cols @ modes)
+    return speeds, cols @ modes
 
 
 @dataclass(frozen=True)
@@ -150,13 +139,13 @@ def stationarity_certificate(
     ``STATIONARY_TOL``; the witness I|v_min⟩ is then verified to be an
     eigenvector of U·V(probe_t) with the original eigenvalue.
     """
-    comp = compress_generator(cols, p)
-    min_speed = float(comp.speeds[0])
+    speeds, vectors = compress_generator(cols, p)
+    min_speed = float(speeds[0])
     if min_speed > STATIONARY_TOL:
         return StationarityCertificate(
             stationary=False, min_speed=min_speed, witness=None, probe_residual=None
         )
-    witness = comp.split_vectors[:, 0]
+    witness = vectors[:, 0]
     moved = perturbed_unitary(u, PerturbationGenerator(p=p), probe_t) @ witness
     residual = float(np.linalg.norm(moved - eigenvalue * witness))
     return StationarityCertificate(
@@ -212,19 +201,24 @@ def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray, sign: float) -> np.
     adapted = system.vectors.copy()
     for g in system.groups:
         if len(g) > 1:
-            split = compress_generator(system.vectors[:, list(g)], p).split_vectors
+            _, split = compress_generator(system.vectors[:, list(g)], p)
             adapted[:, list(g)] = split if sign > 0 else split[:, ::-1]
     return adapted
 
 
-def _base_grid(t_end: float, marks: list[float]) -> np.ndarray:
-    """At least one step of ``MAX_TRACK_STEP`` from 0, landing exactly on each mark and on t_end."""
-    ts = [0.0]
-    while len(ts) == 1 or ts[-1] < t_end - 1e-15:
-        limit = next((m for m in marks if m > ts[-1] + 1e-15), t_end)
-        t = ts[-1] + MAX_TRACK_STEP
-        ts.append(limit if t >= limit - 1e-15 else t)  # the mark itself, not an ulp short
-    return np.array(ts)
+def _grid_size(t_end: float) -> int:
+    """Points of ``_base_grid(t_end)``, to within one, known before it is built."""
+    return int(t_end / MAX_TRACK_STEP) + 2
+
+
+def _base_grid(t_end: float) -> np.ndarray:
+    """0, then steps of ``MAX_TRACK_STEP``, closed by at least one step onto t_end.
+
+    ``np.cumsum`` adds one step at a time, so the points are the sums a loop
+    of additions gives.  A point within 1e-15 of t_end is t_end itself.
+    """
+    ts = np.cumsum(np.full(_grid_size(t_end) - 1, MAX_TRACK_STEP))
+    return np.concatenate([[0.0], ts[ts < t_end - 1e-15], [t_end]])
 
 
 def _spectra(
@@ -268,15 +262,14 @@ def track_trajectory(
     u: np.ndarray,
     gen: PerturbationGenerator,
     t_end: float,
-    checkpoints: tuple[float, ...] = (),
     unitarity_tol: float = UNITARITY_TOL,
 ) -> TrajectoryRecord:
     """Track the eigenvalues of U·V(t) from t = 0 to ``t_end``.
 
-    The grid is steps of ``MAX_TRACK_STEP`` that land exactly on every
-    checkpoint and on ``t_end``, and U·V(t) is eigendecomposed at each of
-    its points in stacked solves; no other point is solved.  Each step is
-    matched by rank (:func:`_rank_offsets`): the paths keep their ccw order,
+    The grid is steps of ``MAX_TRACK_STEP`` that land exactly on ``t_end``,
+    and U·V(t) is eigendecomposed at each of its points in stacked solves;
+    no other point is solved.  Each step is matched by rank
+    (:func:`_rank_offsets`): the paths keep their ccw order,
     so path j moves to the spectrum's rank N + j (mod d) for one offset N,
     counted with its whole turns, and the determinant's turn h = Δt·Σp
     leaves one offset whose moves sum to h.  Two paths that meet exchange
@@ -285,20 +278,26 @@ def track_trajectory(
     below −``STEP_TOL``, or whose moves miss h by more than ``STEP_TOL``,
     raises :class:`TrackingCollisionError`.
     U is checked for unitarity once, here: every U·V(t) only rescales its
-    columns by unit phases and keeps its unitarity defect.
+    columns by unit phases and keeps its unitarity defect.  A grid whose
+    points times d exceed ``MAX_TRACK_ROWS`` raises ``ValueError`` before
+    anything is built.
     """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     u = check_unitary(u, tol=unitarity_tol)
     if gen.p.shape[0] != u.shape[0]:
         raise ValueError("generator dimension does not match the matrix")
+    d = u.shape[0]
+    if _grid_size(t_end) * d > MAX_TRACK_ROWS:
+        raise ValueError(
+            f"t_end = {t_end:g} needs {_grid_size(t_end)} grid points of {d} eigenvalues, "
+            f"more than MAX_TRACK_ROWS = {MAX_TRACK_ROWS} rows"
+        )
 
-    marks = sorted({float(c) for c in checkpoints if 0.0 < float(c) <= t_end})
-    t_grid = _base_grid(t_end, marks)
+    t_grid = _base_grid(t_end)
     values, speeds = _spectra(u, gen, t_grid)
     args = principal_args(values)  # ascending in each row
 
-    d = u.shape[0]
     h = np.diff(t_grid) * gen.p.sum()
     lifted = _rank_offsets(args, gen.sign, h)[:, None] + np.arange(d)  # [grid point, path]
     rank = lifted % d

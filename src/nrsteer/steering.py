@@ -49,7 +49,7 @@ from .numrange import (
     _widest_arc,
     widest_gap,
 )
-from .perturb import CCW, CW, PerturbationGenerator, angular_speeds
+from .perturb import CCW, CW, PerturbationGenerator
 
 # margin evaluations per search; isolated d = 2 touches have needed fewer than 800
 MAX_MARGIN_EVALS = 100_000
@@ -101,7 +101,7 @@ def speed_profile(system: EigenSystem) -> np.ndarray:
     eigenvectors form a unitary matrix.  Column i is
     :func:`~nrsteer.perturb.angular_speeds` under e_i.
     """
-    return angular_speeds(system.vectors, np.eye(system.dim)).T
+    return (np.abs(system.vectors) ** 2).T
 
 
 def select_generator(
@@ -187,7 +187,7 @@ class _OneHotSpectrum:
     """
 
     def __init__(self, system: EigenSystem, i: int, speed: float, widest: tuple[float, int, int]):
-        angles = np.angle(system.representatives())
+        angles = np.angle(system.representatives)
         sizes = np.array([len(g) for g in system.groups])
         w = np.abs(system.vectors[i]) ** 2
         weights = np.array([w[list(g)].sum() for g in system.groups])
@@ -229,8 +229,17 @@ def min_time_search(
     one-hot (p = e_i), as the generators of :func:`select_generator` are;
     any other p raises ``ValueError``.
     """
+    _check_search_options(t_horizon, tol_t)
     system = _unitary_eig(check_unitary(u, tol=RELAXED_UNITARITY_TOL))
     return _min_time_search(system, gen, t_horizon, tol_t, widest_gap(system))
+
+
+def _check_search_options(t_horizon: float, tol_t: float) -> None:
+    """Both must be positive and finite; checked before any spectral work."""
+    if not 0 < t_horizon < np.inf:
+        raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
+    if not 0 < tol_t < np.inf:
+        raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
 
 
 def _min_time_search(
@@ -240,11 +249,7 @@ def _min_time_search(
     tol_t: float,
     widest: tuple[float, int, int],
 ) -> tuple[float | None, str]:
-    """:func:`min_time_search` on the eigensystem of a checked U and its ``widest_gap``."""
-    if not 0 < t_horizon < np.inf:
-        raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
-    if not 0 < tol_t < np.inf:
-        raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
+    """:func:`min_time_search` on a checked U's eigensystem and ``widest_gap``, options checked."""
     if gen.p.shape[0] != system.dim:
         raise ValueError(
             f"dimension mismatch: U is {system.dim}×{system.dim}, p has {gen.p.shape[0]} entries"
@@ -296,6 +301,7 @@ def plan(u: np.ndarray, t_horizon: float = 2 * np.pi, tol_t: float = 1e-3) -> St
 
 def _plan(system: EigenSystem, t_horizon: float, tol_t: float) -> SteeringPlan:
     """:func:`plan` on the eigensystem of a checked U."""
+    _check_search_options(t_horizon, tol_t)
     widest = widest_gap(system)
     gen, gap = select_generator(system, speed_profile(system), widest)
     t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t, widest)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import CLUSTER_TOL, EigenSystem, principal_args, unitary_eig
-from .perturb import PerturbationGenerator, TrajectoryRecord, perturbed_unitary, track_trajectory
+from .perturb import PerturbationGenerator, perturbed_unitary, track_trajectory
 
 __all__ = [
     "Fixture",
@@ -139,24 +139,18 @@ def degenerate_fixture(d: int, k: int, l: int, seed=None) -> Fixture:
 def fd_velocity(u: np.ndarray, gen: PerturbationGenerator, t: float, h: float) -> np.ndarray:
     """Centered finite-difference eigenvalue velocities at time ``t``.
 
-    Tracks the trajectory with ``t − h``, ``t``, ``t + h`` forced onto the
-    grid and differences the matched paths; inherits the tracker's matching.
+    Differences the last points of two tracks, one ending at ``t + h`` and
+    one at ``t − h`` (at t = h, the first point of the ``t + h`` track).
+    Both label their paths by the ccw order at t = 0, so path j is the same
+    eigenvalue in each; inherits the tracker's matching.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     if t - h < 0:
         raise ValueError(f"need t - h >= 0, got t={t}, h={h}")
-    record = track_trajectory(u, gen, t_end=t + h, checkpoints=(t - h, t, t + h))
-    i_minus = _grid_index(record, t - h)
-    i_plus = _grid_index(record, t + h)
-    return (record.paths[:, i_plus] - record.paths[:, i_minus]) / (2 * h)
-
-
-def _grid_index(record: TrajectoryRecord, t: float) -> int:
-    idx = int(np.argmin(np.abs(record.t_grid - t)))
-    if abs(record.t_grid[idx] - t) > 1e-12:
-        raise RuntimeError(f"checkpoint {t} missing from the tracked grid")
-    return idx
+    plus = track_trajectory(u, gen, t_end=t + h).paths
+    minus = track_trajectory(u, gen, t_end=t - h).paths[:, -1] if t > h else plus[:, 0]
+    return (plus[:, -1] - minus) / (2 * h)
 
 
 def assignment_paths(u: np.ndarray, gen: PerturbationGenerator, t_grid: np.ndarray) -> np.ndarray:

@@ -78,8 +78,12 @@ class PropertyOutcome:
                 self.details.append(detail)
 
 
-def _trial_dims(dims: tuple[int, ...], n: int) -> list[int]:
-    return [dims[i % len(dims)] for i in range(n)]
+def _trial_dims(dims: tuple[int, ...], n: int, least: int) -> list[int]:
+    """The dimension of each of ``n`` trials, cycling through the ``dims`` of at least ``least``."""
+    usable = [d for d in dims if d >= least]
+    if not usable:
+        raise ValueError(f"these trials need a dimension of at least {least}, got dims {dims}")
+    return [usable[i % len(usable)] for i in range(n)]
 
 
 def _scaled(n_trials: int, divisor: int) -> int:
@@ -99,7 +103,7 @@ def run_budget_and_monotonicity(
     rng = np.random.default_rng(seed)
     budget = PropertyOutcome(name="velocity-budget", trials=n_trials)
     mono = PropertyOutcome(name="monotone-rotation", trials=n_trials)
-    for i, d in enumerate(_trial_dims(dims, n_trials)):
+    for i, d in enumerate(_trial_dims(dims, n_trials, 1)):
         u = haar_unitary(d, rng)
         gen = PerturbationGenerator(p=rng.dirichlet(np.ones(d)), direction=CCW)
         record = track_trajectory(u, gen, t_end=TRACK_T_END)
@@ -120,14 +124,12 @@ def run_stationarity_and_multiplicity(
     rng = np.random.default_rng(seed)
     stationary = PropertyOutcome(name="stationary-witness", trials=n_fixtures)
     multiplicity = PropertyOutcome(name="residual-multiplicity", trials=n_fixtures)
-    usable = [d for d in dims if d >= 2]
-    for i in range(n_fixtures):
-        d = usable[i % len(usable)]
+    for i, d in enumerate(_trial_dims(dims, n_fixtures, 2)):
         k = int(rng.integers(2, d + 1))
         l = int(rng.integers(1, k))
         fixture = degenerate_fixture(d, k, l, rng)
         cols = fixture.system.vectors[:, list(fixture.system.groups[fixture.group])]
-        eigenvalue = fixture.system.representatives()[fixture.group]
+        eigenvalue = fixture.system.representatives[fixture.group]
 
         worst_residual = 0.0
         min_count = fixture.multiplicity
@@ -204,7 +206,7 @@ def run_first_order_simple(
     """Quadratic remainder of the simple-eigenvalue first-order position."""
     rng = np.random.default_rng(seed)
     outcome = PropertyOutcome(name="first-order-simple", trials=n_instances)
-    for i, d in enumerate(_trial_dims(dims, n_instances)):
+    for i, d in enumerate(_trial_dims(dims, n_instances, 1)):
         u = haar_unitary(d, rng)
         p = rng.dirichlet(np.ones(d))
         gen = PerturbationGenerator(p=p)
@@ -231,16 +233,14 @@ def run_first_order_split(
     """
     rng = np.random.default_rng(seed)
     outcome = PropertyOutcome(name="first-order-split", trials=n_instances)
-    usable = [d for d in dims if d >= 3]
-    for i in range(n_instances):
-        d = usable[i % len(usable)]
+    for i, d in enumerate(_trial_dims(dims, n_instances, 3)):
         k = int(rng.integers(2, d))
         fixture = degenerate_fixture(d, k, k - 1, rng)  # fixture geometry; p below is full
         p = rng.dirichlet(np.ones(d))
         gen = PerturbationGenerator(p=p)
         cols = fixture.system.vectors[:, list(fixture.system.groups[fixture.group])]
-        speeds = compress_generator(cols, p).speeds
-        eigenvalue = fixture.system.representatives()[fixture.group]
+        speeds, _ = compress_generator(cols, p)
+        eigenvalue = fixture.system.representatives[fixture.group]
         hit = _first_order_ladder(fixture.matrix, gen, eigenvalue, speeds)
         if hit is None:
             outcome.record(np.inf, False, f"instance {i}: no rung with quadratic ratio")

@@ -241,6 +241,37 @@ class TestInputChecks:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--horizon", "nan"], ["--horizon", "-1"], ["--horizon", "inf"], ["--tol-t", "0"]],
+        ids="_".join,
+    )
+    def test_steer_options_rejected_when_nothing_to_steer(self, tmp_path, capsys, argv):
+        path = tmp_path / "roots.json"
+        iofmt.write_matrix(path, np.diag(np.exp(2j * np.pi * np.arange(3) / 3)))
+        code = run_cli("steer", "--input", str(path), "--out-dir", str(tmp_path), *argv)
+        assert code == cli.EXIT_PARSE
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    def test_horizon_beyond_the_row_bound(self, demo_file, tmp_path, capsys):
+        # 2e10 grid points: rejected before any is built
+        code = run_cli(
+            "trajectory", "--input", demo_file, "--p", "0,1,0", "--horizon", "1e9",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == cli.EXIT_PARSE
+        assert "MAX_TRACK_ROWS" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_long_horizon_within_the_row_bound(self, demo_file, tmp_path):
+        code = run_cli(
+            "trajectory", "--input", demo_file, "--p", "0,1,0", "--horizon", "1e4",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        with open(tmp_path / "trajectory.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 3 * 200_002
+
     def test_horizon_within_the_snap_gets_one_step(self, demo_file, tmp_path):
         code = run_cli(
             "trajectory", "--input", demo_file, "--p", "0,1,0", "--horizon", "1e-20",

@@ -157,7 +157,7 @@ class TestUnitaryEig:
         cols = system.vectors[:, list(system.groups[group])]
         assert cols.shape[1] == 3
         assert schatten_inf(cols.conj().T @ cols - np.eye(3)) < 1e-10
-        assert schatten_inf(u @ cols - system.representatives()[group] * cols) < 1e-9
+        assert schatten_inf(u @ cols - system.representatives[group] * cols) < 1e-9
 
 
 def _reference_ccw_order(values, vectors):

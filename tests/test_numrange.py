@@ -304,19 +304,19 @@ class TestExtremePairs:
 
 
 class TestUnitaryPolygon:
-    """W(U) is the polygon of U's eigenvalue clusters, ``EigenSystem.representatives()``."""
+    """W(U) is the polygon of U's eigenvalue clusters, ``EigenSystem.representatives``."""
 
     def test_triangle(self):
-        vertices = unitary_eig(np.diag([1.0, 1j, -1.0])).representatives()
+        vertices = unitary_eig(np.diag([1.0, 1j, -1.0])).representatives
         assert np.allclose(vertices, [1.0, 1j, -1.0], atol=1e-12)
 
     def test_identity_single_vertex(self):
-        vertices = unitary_eig(np.eye(3, dtype=complex)).representatives()
+        vertices = unitary_eig(np.eye(3, dtype=complex)).representatives
         assert vertices.shape == (1,)
         assert vertices[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_demo_triangle_ccw_convex(self):
-        vertices = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4).representatives()
+        vertices = unitary_eig(demo.DEMO_MATRIX, unitarity_tol=1e-4).representatives
         assert vertices.shape == (3,)
         assert _convexity_defect(vertices) >= -1e-12
 
@@ -324,7 +324,7 @@ class TestUnitaryPolygon:
     def test_vertices_inside_profile(self, seed):
         # U is normal, so the sweep's h(θ) is attained at a vertex of the polygon
         u = haar_unitary(5, seed)
-        vertices = unitary_eig(u).representatives()
+        vertices = unitary_eig(u).representatives
         profile = support_profile(u, 512)
         proj = np.real(np.exp(-1j * profile.angles)[:, None] * vertices[None, :])
         assert np.abs(proj.max(axis=1) - profile.support_values).max() <= 1e-9

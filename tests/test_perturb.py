@@ -30,7 +30,7 @@ def uniform_gen(d, direction="ccw"):
 def largest_cluster(system):
     """Columns spanning the largest cluster's eigenspace, and its eigenvalue."""
     group = max(range(len(system.groups)), key=lambda g: len(system.groups[g]))
-    return system.vectors[:, list(system.groups[group])], system.representatives()[group]
+    return system.vectors[:, list(system.groups[group])], system.representatives[group]
 
 
 class TestGenerator:
@@ -136,26 +136,26 @@ class TestCompression:
         p = np.random.default_rng(9).dirichlet(np.ones(4))
         cols = system.vectors[:, list(system.groups[0])]
         assert cols.shape[1] == 1
-        comp = compress_generator(cols, p)
-        assert comp.speeds[0] == pytest.approx(angular_speeds(cols[:, 0], p), abs=1e-15)
-        assert np.abs(np.abs(comp.split_vectors) - np.abs(cols)).max() <= 1e-15
+        speeds, vectors = compress_generator(cols, p)
+        assert speeds[0] == pytest.approx(angular_speeds(cols[:, 0], p), abs=1e-15)
+        assert np.abs(np.abs(vectors) - np.abs(cols)).max() <= 1e-15
 
     def test_identity_standard_basis(self):
         p = np.array([0.5, 0.2, 0.3])
-        comp = compress_generator(np.eye(3, dtype=complex), p)
-        assert np.allclose(comp.speeds, sorted(p), atol=1e-15)
+        speeds, _ = compress_generator(np.eye(3, dtype=complex), p)
+        assert np.allclose(speeds, sorted(p), atol=1e-15)
 
     def test_speeds_within_unit_interval(self):
         fixture = degenerate_fixture(5, 3, 1, seed=13)
         cols, _ = largest_cluster(unitary_eig(fixture.matrix))
-        comp = compress_generator(cols, np.full(5, 0.2))
-        assert np.all(comp.speeds >= -1e-12) and np.all(comp.speeds <= 1 + 1e-12)
+        speeds, _ = compress_generator(cols, np.full(5, 0.2))
+        assert np.all(speeds >= -1e-12) and np.all(speeds <= 1 + 1e-12)
 
     def test_split_vectors_stay_in_eigenspace(self):
         fixture = degenerate_fixture(4, 2, 1, seed=14)
         cols, _ = largest_cluster(unitary_eig(fixture.matrix))
-        comp = compress_generator(cols, np.full(4, 0.25))
-        for col in comp.split_vectors.T:
+        _, vectors = compress_generator(cols, np.full(4, 0.25))
+        for col in vectors.T:
             residual = fixture.matrix @ col - fixture.eigenvalue * col
             assert np.linalg.norm(residual) < 1e-9
 
@@ -259,16 +259,6 @@ class TestTrackTrajectory:
         gen = uniform_gen(4)
         record = track_trajectory(u, gen, t_end=0.5)
         assert np.allclose(record.paths[:, 0], unitary_eig(u).values, atol=1e-12)
-
-    def test_checkpoints_on_grid(self):
-        u = haar_unitary(3, 33)
-        gen = uniform_gen(3)
-        # (0.5,): ten steps of 0.05 add up to 0.49999999999999994, not 0.5
-        for marks in ((0.3141, 0.7), (0.5,)):
-            record = track_trajectory(u, gen, t_end=1.0, checkpoints=marks)
-            grid = record.t_grid.tolist()
-            assert all(mark in grid for mark in marks)
-            assert grid[-1] == 1.0
 
     def test_monotone_unwrapped_args(self):
         u = haar_unitary(5, 34)
@@ -395,7 +385,7 @@ class TestTrackTrajectory:
             rng = np.random.default_rng(seed)
             fixture = degenerate_fixture(6, 4, 1, rng)
             gen = PerturbationGenerator(p=rng.dirichlet(np.ones(6)), direction=direction)
-            record = track_trajectory(fixture.matrix, gen, t_end=0.05, checkpoints=(1e-6,))
+            record = track_trajectory(fixture.matrix, gen, t_end=1e-6)
             first = gen.sign * np.diff(record.unwrapped_args[:, :2], axis=1)[:, 0] / 1e-6
             assert np.abs(first - record.speeds()[:, 0]).max() <= 1e-6
 
@@ -412,6 +402,30 @@ class TestTrackTrajectory:
         record = track_trajectory(haar_unitary(3, 35), uniform_gen(3), t_end=t_end)
         assert record.t_grid.tolist() == [0.0, t_end]
         assert record.paths.shape == (3, 2)
+
+    @pytest.mark.parametrize("t_end", [0.5, np.nextafter(0.5, 0.0)])
+    def test_grid_at_a_step_multiple_and_just_below(self, t_end):
+        # ten steps of 0.05 add up to 0.49999999999999994: both ends replace that sum
+        grid = perturb._base_grid(t_end)
+        expected = np.cumsum([0.0] + [MAX_TRACK_STEP] * 10)
+        assert expected[-1] == np.nextafter(0.5, 0.0)
+        expected[-1] = t_end
+        assert grid.tolist() == expected.tolist()
+        assert len(grid) <= perturb._grid_size(t_end)
+
+    def test_row_bound_is_checked_before_the_grid_is_built(self, monkeypatch):
+        def no_grid(t_end):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(perturb, "_base_grid", no_grid)
+        with pytest.raises(ValueError, match="MAX_TRACK_ROWS"):
+            track_trajectory(haar_unitary(3, 35), uniform_gen(3), t_end=1e9)
+        # at d = 4 the bound admits 500000 grid points: 499982 get past the check, 500002 do not
+        assert perturb.MAX_TRACK_ROWS == 4 * 500_000
+        with pytest.raises(AssertionError, match="the grid was built"):
+            track_trajectory(haar_unitary(4, 35), uniform_gen(4), t_end=24_999.0)
+        with pytest.raises(ValueError, match="MAX_TRACK_ROWS"):
+            track_trajectory(haar_unitary(4, 35), uniform_gen(4), t_end=25_000.0)
 
 
 class TestClusterAcrossBranchCut:
@@ -436,7 +450,7 @@ class TestClusterAcrossBranchCut:
             u, p = self.instance(seed)
             system = unitary_eig(u)
             (group,) = [list(g) for g in system.groups if len(g) == 2]
-            split = compress_generator(system.vectors[:, group], p).speeds
+            split, _ = compress_generator(system.vectors[:, group], p)
             gen = PerturbationGenerator(p=p, direction=direction)
             record = track_trajectory(u, gen, t_end=0.1)
             # ccw ranks get the split speeds ascending for ccw, descending for cw

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -279,6 +280,16 @@ class TestSecularRoots:
         assert result.t_star is not None
         assert len(calls) == 1
 
+    def test_plan_takes_the_cluster_representatives_once(self, monkeypatch):
+        calls = []
+        real = EigenSystem.__dict__["representatives"].func
+        counting = functools.cached_property(lambda system: calls.append(1) or real(system))
+        counting.__set_name__(EigenSystem, "representatives")
+        monkeypatch.setattr(EigenSystem, "representatives", counting)
+        result = plan(demo.DEMO_MATRIX)
+        assert result.t_star is not None
+        assert len(calls) == 1
+
 
 class TestPerturbationCost:
     def test_closed_form_values(self):
@@ -311,6 +322,18 @@ class TestPlan:
     def test_contained_origin_raises(self):
         with pytest.raises(NothingToSteerError):
             plan(np.diag(np.exp(2j * np.pi * np.arange(3) / 3)))
+
+    def test_options_are_checked_before_the_gap_test(self):
+        # the origin already lies in this range: a bad option must still be named
+        roots = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        for horizon in (np.nan, -1.0, np.inf):
+            with pytest.raises(ValueError, match="t_horizon must be positive and finite"):
+                plan(roots, t_horizon=horizon)
+        with pytest.raises(ValueError, match="tol_t must be positive and finite"):
+            plan(roots, tol_t=0.0)
+        gen = PerturbationGenerator(p=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="t_horizon must be positive and finite"):
+            min_time_search(1.01 * roots, gen, np.nan, 1e-3)  # before the unitarity check
 
     def test_entry_points_reject_non_unitary(self):
         u = 1.01 * haar_unitary(3, 8)  # defect 0.02, above the relaxed 1e-4

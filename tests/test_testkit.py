@@ -5,7 +5,7 @@ from scipy import stats
 from nrsteer import linalg, verify
 from nrsteer.linalg import CLUSTER_TOL, schatten_inf, unitary_eig
 from nrsteer.numrange import OUTSIDE, contains_zero_general, contains_zero_unitary
-from nrsteer.perturb import PerturbationGenerator
+from nrsteer.perturb import PerturbationGenerator, track_trajectory
 from nrsteer.testkit import (
     _separated_angles,
     assignment_paths,
@@ -99,6 +99,12 @@ class TestDegenerateFixture:
         # per fixture: the validation, then one per probe time
         assert len(calls) == 10 * (1 + len(verify.PROBE_TIMES)) == 40
 
+    def test_fixture_runners_name_unusable_dims(self):
+        with pytest.raises(ValueError, match=r"got dims \(1,\)"):
+            verify.run_stationarity_and_multiplicity(0, 3, dims=(1,))
+        with pytest.raises(ValueError, match=r"got dims \(2,\)"):
+            verify.run_first_order_split(0, 3, dims=(2,))
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             degenerate_fixture(3, 3, 3, seed=0)  # needs l < k
@@ -154,6 +160,16 @@ class TestFdVelocity:
 
         e1, e2 = fd_error(2e-3), fd_error(1e-3)
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
+
+    def test_window_starting_at_zero(self):
+        # t = h: the t − h end is the first point of the t + h track
+        rng = np.random.default_rng(56)
+        u = haar_unitary(3, rng)
+        gen = PerturbationGenerator(p=rng.dirichlet(np.ones(3)))
+        h = 1e-4
+        fd = fd_velocity(u, gen, h, h)
+        record = track_trajectory(u, gen, t_end=h)
+        assert np.abs(fd - record.velocities[:, -1]).max() < 10 * h**2
 
     def test_validates_window(self):
         gen = PerturbationGenerator(p=np.array([1.0]))
