@@ -33,18 +33,15 @@ from .numrange import (  # noqa: E402
 )
 from .perturb import (  # noqa: E402
     PerturbationGenerator,
-    StationarityCertificate,
     TrackingCollisionError,
     TrajectoryRecord,
     compress_generator,
     perturbed_unitary,
-    stationarity_certificate,
     track_trajectory,
 )
 from .steering import (  # noqa: E402
     NothingToSteerError,
     SteeringPlan,
-    min_time_search,
     perturbation_cost,
     plan,
     select_generator,

@@ -136,7 +136,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_matrix(args) -> tuple[np.ndarray, dict]:
     matrix, meta = iofmt.read_matrix(args.input)
-    if getattr(args, "polar_fix", False):
+    if args.polar_fix:
         w, _, vh = np.linalg.svd(matrix)
         matrix = w @ vh
         meta = dict(meta, polar_fix=True)
@@ -174,7 +174,7 @@ def _cmd_range(args) -> int:
         eigenvalues=_maybe_eigenvalues(matrix),
         title=f"numerical range ({os.path.basename(args.input)})",
     )
-    certificate = origin_verdict(matrix, profile)
+    certificate = origin_verdict(profile)
     print(f"origin verdict: {certificate.verdict}")
     print(
         f"origin bracket: min h in [{certificate.lower:.6e}, {certificate.upper:.6e}] "
@@ -271,7 +271,7 @@ def _cmd_example(args) -> int:
     gen = PerturbationGenerator(p=result.p, direction=result.direction)
     pushed = perturbed_unitary(matrix, gen, demo.REFERENCE_PUSH_T)
     pushed_profile = support_profile(pushed, n_angles=720)
-    inside_ok = origin_verdict(pushed, pushed_profile).verdict == INSIDE
+    inside_ok = origin_verdict(pushed_profile).verdict == INSIDE
     checks.append(("origin-inside-after-push", inside_ok, f"t={demo.REFERENCE_PUSH_T}"))
 
     if result.t_star is not None:

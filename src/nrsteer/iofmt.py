@@ -7,12 +7,13 @@ binary64 exactly; identical inputs therefore produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numrange import SupportProfile
 from .perturb import TrajectoryRecord
+
+_CSV_BLOCK_ROWS = 16384  # rows formatted per write
 
 __all__ = [
     "MatrixFileError",
@@ -33,18 +34,10 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_matrix(path, matrix: np.ndarray, label: str | None = None, source: str | None = None) -> None:
-    """Write a matrix file: dim + row-major [re, im] pairs + optional metadata."""
+def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a matrix file: dim + row-major [re, im] pairs."""
     m = np.asarray(matrix, dtype=np.complex128)
-    doc: dict = {
-        "dim": int(m.shape[0]),
-        "entries": [[z.real, z.imag] for z in m.ravel()],
-    }
-    if label is not None:
-        doc["label"] = label
-    if source is not None:
-        doc["source"] = source
-    _write_json(path, doc)
+    _write_json(path, {"dim": int(m.shape[0]), "entries": [[z.real, z.imag] for z in m.ravel()]})
 
 
 def _write_json(path, doc: dict) -> None:
@@ -124,10 +117,17 @@ def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
 
 
 def _write_csv(path, header: str, *columns: np.ndarray) -> None:
-    """``header``, then one row per entry of the 1-d ``columns``: ints as %d, floats as %.17g."""
+    """``header``, then one row per entry of the 1-d ``columns``: ints as %d, floats as %.17g.
+
+    Rows are formatted and written ``_CSV_BLOCK_ROWS`` at a time, so the text
+    held in memory does not grow with the file.
+    """
     row = ",".join(["%d" if c.dtype.kind == "i" else "%.17g" for c in columns]) + "\n"
-    rows = zip(*(c.tolist() for c in columns))
-    _write_text(path, header + "\n" + "".join(map(row.__mod__, rows)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = zip(*(c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join(map(row.__mod__, block)))
 
 
 def _write_text(path, text: str) -> None:

@@ -60,11 +60,8 @@ class BranchCutWarning(UserWarning):
 
 
 class EigendecompositionError(Exception):
-    """The underlying symmetric eigensolver failed to converge."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An eigensolver failed: ``eigh``, or a LAPACK call of the support sweep (``zhetrd``,
+    ``dstebz``, ``dstein``, ``zunmqr``) or of the t* search (``dlasd4``)."""
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -109,10 +106,7 @@ def _herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, x = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        residual = float(np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max())
-        raise EigendecompositionError(
-            f"symmetric eigensolver did not converge: {exc}", residual=residual
-        ) from exc
+        raise EigendecompositionError(f"symmetric eigensolver did not converge: {exc}") from exc
     return w, x
 
 

@@ -78,11 +78,13 @@ __all__ = [
 class SupportProfile:
     """Support function of W(A) sampled on a uniform angle grid.
 
+    ``matrix`` is the checked A, a copy of the caller's;
     ``support_values[k]`` is h(angles[k]); ``boundary_points[k]`` is the
     Rayleigh quotient of the maximizing eigenvector, a point of ∂W(A) with
     outward normal e^{i·angles[k]}.
     """
 
+    matrix: np.ndarray
     angles: np.ndarray
     support_values: np.ndarray
     boundary_points: np.ndarray
@@ -195,14 +197,16 @@ def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportPro
     """
     if n_angles < 16:
         raise ValueError(f"need at least 16 angles, got {n_angles}")
-    a = as_complex_matrix(a)
+    a = as_complex_matrix(a).copy()  # the caller's array when it is already complex
     angles = np.arange(n_angles) * (2 * np.pi / n_angles)
     solved = n_angles // 2 if n_angles % 2 == 0 else n_angles
     mirror = solved < n_angles
     lo, hi, x_lo, x_hi = _extreme_pairs(_hermitian_parts(a), angles[:solved])
     h = np.concatenate([hi, -lo]) if mirror else hi
     x = np.concatenate([x_hi, x_lo]) if mirror else x_hi
-    return SupportProfile(angles=angles, support_values=h, boundary_points=_rayleigh(a, x))
+    return SupportProfile(
+        matrix=a, angles=angles, support_values=h, boundary_points=_rayleigh(a, x)
+    )
 
 
 def widest_gap(system: EigenSystem) -> tuple[float, int, int]:
@@ -280,8 +284,8 @@ def _bracket_verdict(lower: float, upper: float, tol: float) -> str | None:
     return None
 
 
-def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
-    """Certified membership of 0 in W(A), read from ``profile = support_profile(a, n)``.
+def origin_verdict(profile: SupportProfile) -> OriginVerdict:
+    """Certified membership of 0 in W(A), read from ``profile = support_profile(a, n)`` alone.
 
     The solved angles bound min h from above (``upper``) and the witness
     chords of :func:`_cell_lower_bounds` bound it from below (``lower``), as
@@ -293,7 +297,7 @@ def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
     and the bracket recomputed; more than ``MAX_REFINED_ANGLES`` added angles
     raise ``RuntimeError``.  ``profile`` is not modified.
     """
-    a = as_complex_matrix(a)
+    a = profile.matrix
     tol = MEMBERSHIP_REL_TOL * max(schatten_inf(a), 1e-300)
     angles, h, points = profile.angles, profile.support_values, profile.boundary_points
     parts = _hermitian_parts(a)
@@ -329,4 +333,4 @@ def origin_verdict(a: np.ndarray, profile: SupportProfile) -> OriginVerdict:
 
 def contains_zero_general(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> str:
     """Certified membership of 0 in W(A): :func:`origin_verdict` on an ``n_angles`` profile."""
-    return origin_verdict(a, support_profile(a, n_angles)).verdict
+    return origin_verdict(support_profile(a, n_angles)).verdict

@@ -35,7 +35,6 @@ CW = "cw"
 DIRECTIONS = {CCW: CCW, "counterclockwise": CCW, CW: CW, "clockwise": CW}  # alias -> name
 
 PROB_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-12
 MAX_TRACK_STEP = 0.05
 MAX_TRACK_ROWS = 2_000_000  # grid points times eigenvalues in one trajectory
 STEP_TOL = 1e-9  # per move and on the sum of a step's moves
@@ -44,15 +43,12 @@ __all__ = [
     "CCW",
     "CW",
     "DIRECTIONS",
-    "STATIONARY_TOL",
     "PerturbationGenerator",
-    "StationarityCertificate",
     "TrajectoryRecord",
     "TrackingCollisionError",
     "perturbed_unitary",
     "angular_speeds",
     "compress_generator",
-    "stationarity_certificate",
     "track_trajectory",
 ]
 
@@ -116,43 +112,6 @@ def compress_generator(cols: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.
     return speeds, cols @ modes
 
 
-@dataclass(frozen=True)
-class StationarityCertificate:
-    """Outcome of the zero-speed test on one eigenspace."""
-
-    stationary: bool
-    min_speed: float
-    witness: np.ndarray | None
-    probe_residual: float | None
-
-
-def stationarity_certificate(
-    u: np.ndarray,
-    cols: np.ndarray,
-    eigenvalue: complex,
-    p: np.ndarray,
-    probe_t: float = 1.0,
-) -> StationarityCertificate:
-    """Decide whether ``eigenvalue``, with eigenspace I = ``cols``, stays fixed under U·V(t).
-
-    Stationary iff the compressed weight matrix has an eigenvalue of at most
-    ``STATIONARY_TOL``; the witness I|v_min⟩ is then verified to be an
-    eigenvector of U·V(probe_t) with the original eigenvalue.
-    """
-    speeds, vectors = compress_generator(cols, p)
-    min_speed = float(speeds[0])
-    if min_speed > STATIONARY_TOL:
-        return StationarityCertificate(
-            stationary=False, min_speed=min_speed, witness=None, probe_residual=None
-        )
-    witness = vectors[:, 0]
-    moved = perturbed_unitary(u, PerturbationGenerator(p=p), probe_t) @ witness
-    residual = float(np.linalg.norm(moved - eigenvalue * witness))
-    return StationarityCertificate(
-        stationary=True, min_speed=min_speed, witness=witness, probe_residual=residual
-    )
-
-
 class TrackingCollisionError(RuntimeError):
     """A tracked step failed the rank-order check: an eigensolver fault.
 
@@ -196,7 +155,7 @@ def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray, sign: float) -> np.
     order its branches leave in: ascending for ccw, descending for cw (the
     fastest branch turns furthest back).
     """
-    if all(len(g) == 1 for g in system.groups):
+    if len(system.groups) == system.dim:
         return system.vectors
     adapted = system.vectors.copy()
     for g in system.groups:

@@ -70,7 +70,6 @@ __all__ = [
     "SteeringPlan",
     "speed_profile",
     "select_generator",
-    "min_time_search",
     "perturbation_cost",
     "plan",
 ]
@@ -217,31 +216,6 @@ class _OneHotSpectrum:
         return np.mod(np.concatenate([self.fixed, moved]), 2 * np.pi)
 
 
-def min_time_search(
-    u: np.ndarray, gen: PerturbationGenerator, t_horizon: float, tol_t: float
-) -> tuple[float | None, str]:
-    """First time within the horizon at which 0 enters W(U·V(t)^±).
-
-    Returns ``(t_star, verdict)``: 0 lies in the range at ``t_star`` and is
-    certified outside it at every t < ``t_star − tol_t``; ``t_star = None``
-    when the certified steps cover the horizon.  Checks U within
-    ``RELAXED_UNITARITY_TOL`` first, as :func:`plan` does.  ``gen`` must be
-    one-hot (p = e_i), as the generators of :func:`select_generator` are;
-    any other p raises ``ValueError``.
-    """
-    _check_search_options(t_horizon, tol_t)
-    system = _unitary_eig(check_unitary(u, tol=RELAXED_UNITARITY_TOL))
-    return _min_time_search(system, gen, t_horizon, tol_t, widest_gap(system))
-
-
-def _check_search_options(t_horizon: float, tol_t: float) -> None:
-    """Both must be positive and finite; checked before any spectral work."""
-    if not 0 < t_horizon < np.inf:
-        raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
-    if not 0 < tol_t < np.inf:
-        raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
-
-
 def _min_time_search(
     system: EigenSystem,
     gen: PerturbationGenerator,
@@ -249,7 +223,16 @@ def _min_time_search(
     tol_t: float,
     widest: tuple[float, int, int],
 ) -> tuple[float | None, str]:
-    """:func:`min_time_search` on a checked U's eigensystem and ``widest_gap``, options checked."""
+    """First time within the horizon at which 0 enters W(U·V(t)^±).
+
+    ``system`` is the eigensystem of a checked U and ``widest`` its
+    :func:`~nrsteer.numrange.widest_gap`; the caller checks the options.
+    Returns ``(t_star, verdict)``: 0 lies in the range at ``t_star`` and is
+    certified outside it at every t < ``t_star − tol_t``; ``t_star = None``
+    when the certified steps cover the horizon.  ``gen`` must be one-hot
+    (p = e_i), as the generators of :func:`select_generator` are; any other p
+    raises ``ValueError``.
+    """
     if gen.p.shape[0] != system.dim:
         raise ValueError(
             f"dimension mismatch: U is {system.dim}×{system.dim}, p has {gen.p.shape[0]} entries"
@@ -301,7 +284,11 @@ def plan(u: np.ndarray, t_horizon: float = 2 * np.pi, tol_t: float = 1e-3) -> St
 
 def _plan(system: EigenSystem, t_horizon: float, tol_t: float) -> SteeringPlan:
     """:func:`plan` on the eigensystem of a checked U."""
-    _check_search_options(t_horizon, tol_t)
+    # checked before the gap test, so a bad option is reported even with nothing to steer
+    if not 0 < t_horizon < np.inf:
+        raise ValueError(f"t_horizon must be positive and finite, got {t_horizon}")
+    if not 0 < tol_t < np.inf:
+        raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
     widest = widest_gap(system)
     gen, gap = select_generator(system, speed_profile(system), widest)
     t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t, widest)

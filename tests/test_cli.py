@@ -14,7 +14,7 @@ from nrsteer.testkit import degenerate_fixture
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.json"
-    iofmt.write_matrix(path, demo.DEMO_MATRIX, label="demo")
+    iofmt.write_matrix(path, demo.DEMO_MATRIX)
     return str(path)
 
 
@@ -35,9 +35,17 @@ class TestMatrixFiles:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         path = tmp_path / "m.json"
-        iofmt.write_matrix(path, m, label="x", source="random")
+        iofmt.write_matrix(path, m)
         back, meta = iofmt.read_matrix(path)
         assert np.array_equal(back, m)
+        assert meta == {}
+
+    def test_metadata_round_trip(self, tmp_path):
+        path = tmp_path / "m.json"
+        doc = {"dim": 1, "entries": [[0.5, -0.25]], "label": "x", "source": "random", "note": 1}
+        path.write_text(json.dumps(doc))
+        back, meta = iofmt.read_matrix(path)
+        assert back.tolist() == [[0.5 - 0.25j]]
         assert meta == {"label": "x", "source": "random"}
 
     def test_malformed_json_reports_position(self, tmp_path):
@@ -406,6 +414,17 @@ class TestTrajectoryCommand:
         assert text.startswith("t,j,re_lambda,im_lambda,speed\n0,0,-0,0,0\n0,1,7,-0,1\n")
         assert "\n4.9406564584124654e-324,0,4.9406564584124654e-324," in text
         assert ",10000000000000000," in text
+
+    def test_csv_block_seams(self, tmp_path, monkeypatch):
+        # 20 grid points of 3 rows: one block by default, eight of 7 rows and one of 4 below
+        gen = perturb.PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]))
+        record = perturb.track_trajectory(demo.DEMO_MATRIX, gen, t_end=0.95, unitarity_tol=1e-4)
+        iofmt.write_trajectory_csv(tmp_path / "one.csv", record)
+        monkeypatch.setattr(iofmt, "_CSV_BLOCK_ROWS", 7)
+        iofmt.write_trajectory_csv(tmp_path / "many.csv", record)
+        one = (tmp_path / "one.csv").read_bytes()
+        assert one.count(b"\n") == 1 + 60
+        assert (tmp_path / "many.csv").read_bytes() == one
 
     def test_collision_exit_code(self, demo_file, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

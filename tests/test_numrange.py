@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from nrsteer.numrange import (
     ON_BOUNDARY,
     OUTSIDE,
     TRIDIAGONAL_MIN_DIM,
-    SupportProfile,
     contains_zero_general,
     contains_zero_unitary,
     origin_verdict,
@@ -252,7 +253,7 @@ class TestExtremePairs:
         expected = np.real(np.exp(-1j * profile.angles) * c)
         assert np.abs(profile.support_values - expected).max() < 1e-15
         assert np.abs(profile.boundary_points - c).max() < 1e-15
-        assert origin_verdict(a, profile).verdict == OUTSIDE
+        assert origin_verdict(profile).verdict == OUTSIDE
 
     @pytest.mark.parametrize("n", [720, 721])
     def test_split_tridiagonal(self, n):
@@ -286,7 +287,7 @@ class TestExtremePairs:
         a = sweep_input("hermitian", TRIDIAGONAL_MIN_DIM + 4, seed=6)
         w = np.linalg.eigvalsh(a)
         assert w[0] < 0 < w[-1]
-        result = origin_verdict(a, support_profile(a, 17))
+        result = origin_verdict(support_profile(a, 17))
         assert result.verdict == BOUNDARY_WITHIN_TOL
         assert result.n_angles > 17
         assert result.angle == pytest.approx(np.pi / 2, abs=1e-12)
@@ -297,7 +298,7 @@ class TestExtremePairs:
         a = shifted_to_margin(0, -1e-8, d=TRIDIAGONAL_MIN_DIM)
         profile = support_profile(a)
         assert profile.support_values.min() >= -MEMBERSHIP_REL_TOL * schatten_inf(a)
-        result = origin_verdict(a, profile)
+        result = origin_verdict(profile)
         assert result.verdict == OUTSIDE
         assert result.n_angles > numrange.ANGLES_DISPLAY
         assert_certified(a, result)
@@ -448,7 +449,7 @@ class TestOriginVerdict:
         a = shifted_to_margin(seed, -1e-6)
         tol = MEMBERSHIP_REL_TOL * schatten_inf(a)
         assert dense_support(a, 2048)[1].min() > tol
-        result = origin_verdict(a, support_profile(a))
+        result = origin_verdict(support_profile(a))
         assert result.verdict == OUTSIDE
         assert result.n_angles > numrange.ANGLES_DISPLAY
         assert_certified(a, result)
@@ -456,7 +457,7 @@ class TestOriginVerdict:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_margin_within_tol(self, seed):
         a = shifted_to_margin(seed, 0.0)
-        result = origin_verdict(a, support_profile(a))
+        result = origin_verdict(support_profile(a))
         assert result.verdict == BOUNDARY_WITHIN_TOL
         assert_certified(a, result)
 
@@ -465,7 +466,7 @@ class TestOriginVerdict:
         # W of a Hermitian A is [λ_min, λ_max] ∋ 0, touched at θ = π/2, where
         # L (Rayleigh quotients) and U (eigenvalues) are both ε‖A‖ rounding noise
         a = sweep_input("hermitian", 16, seed)
-        result = origin_verdict(a, support_profile(a, 17))
+        result = origin_verdict(support_profile(a, 17))
         assert result.verdict == BOUNDARY_WITHIN_TOL
         assert_certified(a, result)
 
@@ -473,7 +474,7 @@ class TestOriginVerdict:
     def test_segment_on_odd_grid(self, n):
         # no grid angle hits the normal π/2 of the segment [−1, 1]; bisection must reach it
         segment = np.diag([1.0, -1.0]).astype(complex)
-        result = origin_verdict(segment, support_profile(segment, n))
+        result = origin_verdict(support_profile(segment, n))
         assert result.verdict == BOUNDARY_WITHIN_TOL
         assert result.n_angles > n
         assert_certified(segment, result)
@@ -482,17 +483,26 @@ class TestOriginVerdict:
         monkeypatch.setattr(numrange, "MAX_REFINED_ANGLES", 0)
         segment = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(RuntimeError, match=r"min h in \["):
-            origin_verdict(segment, support_profile(segment, 17))
+            origin_verdict(support_profile(segment, 17))
 
     def test_non_finite_profile_raises(self):
         # a NaN bracket selects no cell to bisect; it must not loop forever
         segment = np.diag([1.0, -1.0]).astype(complex)
         profile = support_profile(segment, 17)
-        broken = SupportProfile(
-            profile.angles, np.full_like(profile.support_values, np.nan), profile.boundary_points
+        broken = dataclasses.replace(
+            profile, support_values=np.full_like(profile.support_values, np.nan)
         )
         with pytest.raises(RuntimeError, match="undecided"):
-            origin_verdict(segment, broken)
+            origin_verdict(broken)
+
+    def test_profile_holds_its_own_matrix(self):
+        # the refinement solves A again; writing into A after the sweep must not reach it
+        segment = np.diag([1.0, -1.0]).astype(complex)
+        profile = support_profile(segment, 17)
+        before = origin_verdict(profile)
+        assert before.n_angles > 17  # refined
+        segment[:] = 2j * np.eye(2)
+        assert origin_verdict(profile) == before
 
     @pytest.mark.parametrize(
         "kind", ["non-normal-0", "non-normal-1", "non-normal-2", "point", "triangle"]
@@ -508,7 +518,7 @@ class TestOriginVerdict:
         else:
             a = ginibre(np.random.default_rng(int(kind[-1])), 6)
         profile = support_profile(a, n)
-        result = origin_verdict(a, profile)
+        result = origin_verdict(profile)
         dense_min = dense_support(a, 65536)[1].min()
         # L is a minimum of chord bounds; 1e-12·‖A‖ absorbs eigensolver rounding
         assert result.lower <= dense_min + 1e-12 * schatten_inf(a)
@@ -526,7 +536,7 @@ class TestOriginVerdict:
         profile = support_profile(matrix, n)
         fields = (profile.angles, profile.support_values, profile.boundary_points)
         snapshot = [arr.copy() for arr in fields]
-        result = origin_verdict(matrix, profile)
+        result = origin_verdict(profile)
         for arr, before in zip(fields, snapshot):
             assert np.array_equal(arr, before)
         iofmt.write_range_csv(tmp_path / "expected.csv", profile)
@@ -541,7 +551,7 @@ class TestDistanceToZero:
 
     @staticmethod
     def distance(a, n=numrange.ANGLES_DISPLAY):
-        return max(0.0, -origin_verdict(a, support_profile(a, n)).upper)
+        return max(0.0, -origin_verdict(support_profile(a, n)).upper)
 
     def test_identity(self):
         assert self.distance(np.eye(3, dtype=complex)) == pytest.approx(1.0, abs=1e-9)

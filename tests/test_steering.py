@@ -22,7 +22,6 @@ from nrsteer.steering import (
     REACHED_BOUNDARY,
     REACHED_INTERIOR,
     NothingToSteerError,
-    min_time_search,
     perturbation_cost,
     plan,
     select_generator,
@@ -111,10 +110,16 @@ class TestSelectGenerator:
             select_generator(system, speed_profile(system), widest_gap(system))
 
 
+def t_star_search(u, gen, t_horizon, tol_t):
+    """The t* search core on U's eigensystem and widest gap, as ``plan`` runs it."""
+    system = unitary_eig(u, unitarity_tol=1e-4)
+    return steering._min_time_search(system, gen, t_horizon, tol_t, widest_gap(system))
+
+
 class TestMinTimeSearch:
     def test_demo_window(self):
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
-        t_star, verdict = min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+        t_star, verdict = t_star_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
         assert 1.40 <= t_star <= 1.50
         assert verdict in (REACHED_INTERIOR, REACHED_BOUNDARY)
 
@@ -123,7 +128,7 @@ class TestMinTimeSearch:
         # gap closes to pi when the mover reaches -1, i.e. at t = pi/2
         u = np.diag([1.0, np.exp(1j * np.pi / 2)])
         gen = PerturbationGenerator(p=np.array([0.0, 1.0]), direction="ccw")
-        t_star, verdict = min_time_search(u, gen, 2 * np.pi, 1e-4)
+        t_star, verdict = t_star_search(u, gen, 2 * np.pi, 1e-4)
         assert abs(t_star - np.pi / 2) <= 1e-4
         assert verdict == REACHED_BOUNDARY
 
@@ -131,35 +136,34 @@ class TestMinTimeSearch:
         # identity with weight on one coordinate: the split arc stays shorter
         # than pi for t < pi, so a horizon of 2 never sees the origin
         gen = PerturbationGenerator(p=np.array([1.0, 0.0]))
-        t_star, verdict = min_time_search(np.eye(2, dtype=complex), gen, 2.0, 1e-3)
+        t_star, verdict = t_star_search(np.eye(2, dtype=complex), gen, 2.0, 1e-3)
         assert t_star is None and verdict == NOT_REACHED
 
     def test_validates_parameters(self):
-        gen = PerturbationGenerator(p=np.array([1.0, 0.0]))
         for horizon in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="t_horizon must be positive and finite"):
-                min_time_search(np.eye(2, dtype=complex), gen, horizon, 1e-3)
+                plan(np.eye(2, dtype=complex), t_horizon=horizon)
         for tol_t in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tol_t must be positive and finite"):
-                min_time_search(np.eye(2, dtype=complex), gen, 1.0, tol_t)
+                plan(np.eye(2, dtype=complex), tol_t=tol_t)
 
     def test_evaluation_cap_raises(self, monkeypatch):
         # the demo search needs more than two margin evaluations
         monkeypatch.setattr(steering, "MAX_MARGIN_EVALS", 2)
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
         with pytest.raises(RuntimeError, match=r"at t = .* with m\(t\) = "):
-            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+            t_star_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
 
 
     def test_rejects_generator_not_one_hot(self):
         gen = PerturbationGenerator(p=np.array([0.5, 0.5, 0.0]))
         with pytest.raises(ValueError, match="one-hot"):
-            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+            t_star_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
 
     def test_rejects_dimension_mismatch(self):
         gen = PerturbationGenerator(p=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+            t_star_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
 
     def test_dlasd4_failure_raises(self, monkeypatch):
         class FailingLapack:
@@ -170,7 +174,7 @@ class TestMinTimeSearch:
         monkeypatch.setattr(steering, "lapack", FailingLapack)
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
         with pytest.raises(EigendecompositionError, match=r"dlasd4 failed with info 1 at t = "):
-            min_time_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+            t_star_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
 
 
 class TestSecularRoots:
@@ -331,9 +335,6 @@ class TestPlan:
                 plan(roots, t_horizon=horizon)
         with pytest.raises(ValueError, match="tol_t must be positive and finite"):
             plan(roots, tol_t=0.0)
-        gen = PerturbationGenerator(p=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="t_horizon must be positive and finite"):
-            min_time_search(1.01 * roots, gen, np.nan, 1e-3)  # before the unitarity check
 
     def test_entry_points_reject_non_unitary(self):
         u = 1.01 * haar_unitary(3, 8)  # defect 0.02, above the relaxed 1e-4
@@ -342,8 +343,6 @@ class TestPlan:
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="not unitary"):
             track_trajectory(u, gen, t_end=1.0, unitarity_tol=1e-4)
-        with pytest.raises(ValueError, match="not unitary"):
-            min_time_search(u, gen, 1.0, 1e-3)
 
     def test_hand_case_consistent(self):
         result = plan(np.diag([1.0, np.exp(1j * np.pi / 2)]), tol_t=1e-4)

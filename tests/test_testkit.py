@@ -99,6 +99,14 @@ class TestDegenerateFixture:
         # per fixture: the validation, then one per probe time
         assert len(calls) == 10 * (1 + len(verify.PROBE_TIMES)) == 40
 
+    def test_moving_eigenspace_fails_the_witness(self, monkeypatch):
+        # below 0 no compressed speed counts as zero, so no fixture has a witness
+        monkeypatch.setattr(verify, "STATIONARY_TOL", -1.0)
+        stationary, multiplicity = verify.run_stationarity_and_multiplicity(1, 4)
+        assert stationary.failures == 4 and stationary.max_residual == np.inf
+        assert all("witness residual inf" in detail for detail in stationary.details)
+        assert multiplicity.passed  # no probe time, no count below the multiplicity
+
     def test_fixture_runners_name_unusable_dims(self):
         with pytest.raises(ValueError, match=r"got dims \(1,\)"):
             verify.run_stationarity_and_multiplicity(0, 3, dims=(1,))
