@@ -217,7 +217,7 @@ def _cmd_trajectory(args) -> int:
         matrix, gen, t_end=args.horizon, unitarity_tol=RELAXED_UNITARITY_TOL
     )
     iofmt.write_trajectory_csv(os.path.join(out, "trajectory.csv"), record)
-    print(f"tracked {record.paths.shape[0]} paths over {record.n_steps} steps")
+    print(f"tracked {record.paths.shape[0]} paths over {record.n_steps} grid points")
     print(f"wrote {out}/trajectory.csv")
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 Everything here works on plain complex ``numpy`` arrays.  Matrices are
 validated at API boundaries (:func:`check_unitary`, :func:`check_hermitian`)
 instead of being wrapped in dedicated classes, once: callers that already
-hold a checked unitary use the unchecked core ``_unitary_eig``, which also
-decomposes a (K, d, d) stack in one batched solve; its result
-(:class:`EigenSystem`) is a frozen dataclass.
+hold a checked unitary use the unchecked ``_unitary_eig`` of one matrix,
+whose result (:class:`EigenSystem`) is a frozen dataclass, or its array core
+``_unitary_eig_stack``, which decomposes a (K, d, d) stack in one batched
+solve into unsorted arrays with the eigensolver's eigenvector phases.
 
 The unitary eigendecomposition starts from a symmetric eigenproblem: a
 unitary U is normal, so it commutes with its Hermitian part A = (U + U†)/2
@@ -131,16 +132,6 @@ def schatten_inf(a: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
-def _fix_column_phases(x: np.ndarray) -> np.ndarray:
-    """Rotate each column of a (K, d, d) stack so its largest-modulus entry is real positive.
-
-    The columns are unit vectors, so every pivot is at least 1/√d in modulus.
-    """
-    k, _, d = x.shape
-    pivot = x[np.arange(k)[:, None], np.argmax(np.abs(x), axis=1), np.arange(d)]
-    return x * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))[:, None, :]
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Counterclockwise-ordered eigendecomposition of a normal (unitary) matrix.
@@ -193,68 +184,59 @@ def unitary_eig(u: np.ndarray, unitarity_tol: float = UNITARITY_TOL) -> EigenSys
     Checks unitarity within ``unitarity_tol``, then diagonalizes
     A = (U + U†)/2 by a symmetric eigensolve, then resolves each run of
     A-eigenvalues spaced by at most ``A_RUN_GAP`` by the complex Schur form of
-    the compression of U onto the run's eigenvectors; eigenvalues recombine as
-    λ = ⟨x|A|x⟩ + i⟨x|B|x⟩ with B = (U − U†)/(2i).
+    the compression of U onto the run's eigenvectors; each eigenvalue is the
+    Rayleigh quotient λ = ⟨x|U|x⟩ of its eigenvector.
     """
     return _unitary_eig(check_unitary(u, tol=unitarity_tol))
 
 
-def _unitary_eig(u: np.ndarray) -> EigenSystem | list[EigenSystem]:
-    """:func:`unitary_eig` without the unitarity check, of one matrix or a (K, d, d) stack.
+def _unitary_eig(u: np.ndarray) -> EigenSystem:
+    """:func:`unitary_eig` of one matrix, without the unitarity check.
 
-    For callers that hold a checked U, or matrices built from checked ones
-    (such as U·V(t) or U†V), whose unitarity therefore needs no re-check.
-    A stack is decomposed by one batched symmetric eigensolve and gives a
-    list of K eigensystems, each equal to the one its matrix gives alone.
+    For callers that hold a checked U, or a matrix built from checked ones
+    (such as U·V(t) or U†V).  Each eigenvector is rotated so that its
+    largest-modulus entry, at least 1/√d in modulus, is real positive.
     """
-    stack = u if u.ndim == 3 else u[None]
-    d = stack.shape[-1]
-    adjoint = np.conj(np.swapaxes(stack, -1, -2))
-    a_part = (stack + adjoint) / 2
-    b_part = (stack - adjoint) / 2j
-    a_vals, x = _herm_eig(a_part)
-
-    # resolve each run of close A-eigenvalues with the Schur form of U on its span
-    close = a_vals[:, 1:] - a_vals[:, :-1] <= A_RUN_GAP
-    if close.any():
-        for k in np.flatnonzero(close.any(axis=1)):
-            _schur_runs(stack[k], x[k], close[k])
-    vecs = _fix_column_phases(x)
-    conj = vecs.conj()
-    # np.multiply, not `*`: numpy reuses a large temporary operand of `*` in
-    # place, which rounds complex products differently, so a stack's values
-    # would not match those of its matrices decomposed alone
-    vals = np.multiply(conj, a_part @ vecs).sum(1) + 1j * np.multiply(conj, b_part @ vecs).sum(1)
+    (values,), (x,) = _unitary_eig_stack(u[None])
+    pivot = x[np.argmax(np.abs(x), axis=0), np.arange(len(values))]
+    vecs = x * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
     # ccw order: ascending principal argument; only exact ties need the
     # eigenvector entries (Re x₀, Im x₀, Re x₁, …) to break them
-    ks = np.arange(stack.shape[0])[:, None]
-    args = principal_args(vals)
-    order = np.argsort(args, axis=1)
-    ranked = args[ks, order]
-    tied = ranked[:, 1:] == ranked[:, :-1]
-    if tied.any():
-        for k in np.flatnonzero(tied.any(axis=1)):
-            entries = np.stack([vecs[k].real, vecs[k].imag], axis=1).reshape(2 * d, d)
-            order[k] = np.lexsort(np.vstack([entries[::-1], args[k]]))  # last key is primary
-    vals = vals[ks, order]
-    vecs = vecs[ks[:, :, None], np.arange(d)[:, None], order[:, None, :]]
+    args = principal_args(values)
+    order = np.argsort(args)
+    if (np.diff(args[order]) == 0).any():
+        entries = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1, len(values))
+        order = np.lexsort(np.vstack([entries[::-1], args]))  # last key is primary
+    values = values[order]
+    singletons = [[j] for j in range(len(values))]
+    groups = _cluster_on_circle(values, CLUSTER_TOL) if _has_near_pair(values) else singletons
+    return EigenSystem(values=values, vectors=vecs[:, order], groups=tuple(map(tuple, groups)))
 
-    # chordal neighbours, the pair across ±π included; most spectra have none
-    near = (np.abs(vals[:, 1:] - vals[:, :-1]) <= CLUSTER_TOL).any(axis=1)
-    near |= np.abs(vals[:, 0] - vals[:, -1]) <= CLUSTER_TOL
-    singletons = tuple((j,) for j in range(d))
-    systems = [
-        EigenSystem(
-            values=vals[k],
-            vectors=vecs[k],
-            groups=tuple(map(tuple, _cluster_on_circle(vals[k], CLUSTER_TOL)))
-            if near[k]
-            else singletons,
-        )
-        for k in range(stack.shape[0])
-    ]
-    return systems if u.ndim == 3 else systems[0]
+
+def _unitary_eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a (K, d, d) stack of checked unitaries, in one batched solve.
+
+    Returns ``(values, x)``, shaped (K, d) and (K, d, d), unsorted and with
+    the eigensolver's column phases; ``values[k, j]`` = x†U x for the column
+    x = ``x[k, :, j]``.  Each matrix gets the values it gets alone.
+    """
+    adjoint = np.conj(np.swapaxes(stack, -1, -2))
+    a_vals, x = _herm_eig((stack + adjoint) / 2)
+
+    # resolve each run of close A-eigenvalues with the Schur form of U on its span
+    close = a_vals[:, 1:] - a_vals[:, :-1] <= A_RUN_GAP
+    for k in np.flatnonzero(close.any(axis=1)):
+        _schur_runs(stack[k], x[k], close[k])
+    # np.multiply, not `*`: numpy reuses a large temporary operand of `*` in
+    # place, which rounds complex products differently, so a stack's values
+    # would not match those of its matrices decomposed alone
+    return np.multiply(x.conj(), stack @ x).sum(1), x
+
+
+def _has_near_pair(values: np.ndarray) -> np.ndarray:
+    """Per row of ccw-sorted values: any chordal neighbours within ``CLUSTER_TOL``, across ±π."""
+    return (np.abs(values - np.roll(values, 1, axis=-1)) <= CLUSTER_TOL).any(axis=-1)
 
 
 def _schur_runs(u: np.ndarray, x: np.ndarray, close: np.ndarray) -> None:

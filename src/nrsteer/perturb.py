@@ -2,14 +2,14 @@
 
 The perturbation family is V(t) = exp(i·t·diag(p)) for a probability vector p
 (conjugated for clockwise rotation), applied as U·V(t).  First-order angular
-speeds of the eigenvalues are the diagonal weights of the eigenvectors
-(simple case) or the eigenvalues of the eigenspace-compressed weight matrix
-(degenerate case).  Exact trajectories come from eigendecomposing U·V(t)
-on a uniform grid in stacked solves and matching the eigenvalues of
-neighbouring grid points by rank.  Eigenvalues that do not meet keep their
-ccw order, so at every grid point the unwrapped arguments of the paths are
-the spectrum in ccw order from some rank on, lifted over less than one turn.
-The lifts from neighbouring ranks differ in sum by 2π, and det(U·V(t)) =
+speeds of the eigenvalues are the diagonal weights of the eigenvectors (simple
+case) or the eigenvalues of the eigenspace-compressed weight matrix
+(degenerate case).  Exact trajectories read the ccw-sorted eigenvalues and
+speeds of U·V(t) on a uniform grid from the arrays of stacked solves, and
+match neighbouring grid points by rank.  Eigenvalues that do not meet keep
+their ccw order, so at every grid point the unwrapped arguments of the paths
+are the spectrum in ccw order from some rank on, lifted over less than one
+turn.  The lifts from neighbouring ranks differ in sum by 2π, and det(U·V(t)) =
 det U·exp(±i·t·Σp) fixes the sum: over a step of length Δt it turns by
 exactly ±Δt·Σp.  So one lift gives that sum: it is the match.  Since p ≥ 0,
 every eigenvalue turns the same way, so no move of a true match is negative.
@@ -22,10 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    CLUSTER_TOL,
     UNITARITY_TOL,
-    EigenSystem,
+    _cluster_on_circle,
+    _has_near_pair,
     _stack_slices,
-    _unitary_eig,
+    _unitary_eig_stack,
     check_unitary,
     principal_args,
 )
@@ -92,8 +94,8 @@ def perturbed_unitary(u: np.ndarray, gen: PerturbationGenerator, t: float) -> np
 def angular_speeds(vectors: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Angular speeds Σ_i p_i |x_i|² of the eigenvector columns x of ``vectors``.
 
-    Batched as p·|X|²: a 1-d ``vectors`` gives one speed, and a 2-d ``p``
-    gives one row of speeds per weight vector.
+    Batched as p·|X|²: a 1-d ``vectors`` gives one speed, a (K, d, d) stack
+    a row per matrix, and a 2-d ``p`` one row of speeds per weight vector.
     """
     return np.asarray(p, dtype=np.float64) @ np.abs(vectors) ** 2
 
@@ -138,31 +140,12 @@ class TrajectoryRecord:
 
     @property
     def n_steps(self) -> int:
+        """Grid points, t = 0 included: one more than the steps between them."""
         return self.t_grid.shape[0]
 
     def speeds(self) -> np.ndarray:
         """|velocity| per path and step (equals the angular speed profile)."""
         return np.abs(self.velocities)
-
-
-def _adapt_cluster_bases(system: EigenSystem, p: np.ndarray, sign: float) -> np.ndarray:
-    """Rotate each degenerate cluster's basis to diagonalize the compression.
-
-    Inside a cluster the eigenbasis is arbitrary; the compression eigenbasis
-    (:func:`compress_generator`) is the one whose members carry the actual
-    split speeds, so recorded velocities are the physical limits rather than
-    basis artifacts.  The split speeds go to the cluster's ccw ranks in the
-    order its branches leave in: ascending for ccw, descending for cw (the
-    fastest branch turns furthest back).
-    """
-    if len(system.groups) == system.dim:
-        return system.vectors
-    adapted = system.vectors.copy()
-    for g in system.groups:
-        if len(g) > 1:
-            _, split = compress_generator(system.vectors[:, list(g)], p)
-            adapted[:, list(g)] = split if sign > 0 else split[:, ::-1]
-    return adapted
 
 
 def _grid_size(t_end: float) -> int:
@@ -186,8 +169,11 @@ def _spectra(
     """Eigenvalues and angular speeds of U·V(t) at each of ``times``, each row in ccw order.
 
     The matrices are eigendecomposed in stacks of at most ``linalg.STACK_BYTES``,
-    so memory does not grow with the number of times.  Inside a degenerate
-    cluster the speeds are those of the split (:func:`_adapt_cluster_bases`).
+    so memory does not grow with the number of times.  A stack's speeds p·|X|²
+    need no eigenvector phases.  Inside a degenerate cluster, whose basis is
+    arbitrary, they are the speeds of its split (:func:`compress_generator`),
+    given to its ccw ranks in the order its branches leave in: ascending for
+    ccw, descending for cw (the fastest branch turns furthest back).
     """
     d = u.shape[0]
     values = np.empty((len(times), d), dtype=np.complex128)
@@ -195,9 +181,16 @@ def _spectra(
     for rows in _stack_slices(len(times), u.nbytes):
         phases = np.exp(1j * gen.sign * gen.p * times[rows, None])
         # U·V(t) only rescales the columns of the checked U: no re-check
-        for i, system in enumerate(_unitary_eig(u * phases[:, None, :]), rows.start):
-            values[i] = system.values
-            speeds[i] = angular_speeds(_adapt_cluster_bases(system, gen.p, gen.sign), gen.p)
+        vals, x = _unitary_eig_stack(u * phases[:, None, :])
+        order = np.argsort(principal_args(vals), axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+        rates = np.take_along_axis(angular_speeds(x, gen.p), order, axis=1)
+        for k in np.flatnonzero(_has_near_pair(vals)):
+            for g in _cluster_on_circle(vals[k], CLUSTER_TOL):
+                if len(g) > 1:
+                    split, _ = compress_generator(x[k][:, order[k, g]], gen.p)
+                    rates[k, g] = split if gen.sign > 0 else split[::-1]
+        values[rows], speeds[rows] = vals, rates
     return values, speeds
 
 

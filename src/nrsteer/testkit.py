@@ -7,13 +7,15 @@ the production path cannot confirm itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .linalg import CLUSTER_TOL, EigenSystem, principal_args, unitary_eig
+from .numrange import widest_gap
 from .perturb import PerturbationGenerator, perturbed_unitary, track_trajectory
+from .steering import _OneHotSpectrum
 
 __all__ = [
     "Fixture",
@@ -22,6 +24,7 @@ __all__ = [
     "degenerate_fixture",
     "fd_velocity",
     "assignment_paths",
+    "secular_paths",
     "brute_membership",
 ]
 
@@ -169,6 +172,28 @@ def assignment_paths(u: np.ndarray, gen: PerturbationGenerator, t_grid: np.ndarr
         cost = np.abs(np.angle(values[None, :] / paths[-1][:, None]))
         paths.append(values[linear_sum_assignment(cost)[1]])
     return np.array(paths).T
+
+
+def secular_paths(u: np.ndarray, gen: PerturbationGenerator, t_grid: np.ndarray) -> np.ndarray:
+    """Oracle eigenvalue paths of U·V(t) for a one-hot p = e_i, shape (d, len(t_grid)).
+
+    Solves no U·V(t): the angles are the secular roots of
+    ``steering._OneHotSpectrum`` on U's eigensystem, all eigenvalues simple.
+    For t in (0, 2π) and weights |X[i, j]|² > 0, root j of a ccw push stays in
+    (θ_j, θ_{j+1}) (cw: (θ_{j−1}, θ_j)), so the order of ±(φ − θ_0) mod 2π
+    labels the roots, and never ties.  At t = 0 the paths are U's eigenvalues.
+    """
+    system = unitary_eig(u)
+    simple = replace(system, groups=tuple((j,) for j in range(system.dim)))
+    (i,) = np.flatnonzero(gen.p)  # raises unless p is one-hot
+    spectrum = _OneHotSpectrum(simple, int(i), gen.sign, widest_gap(simple))
+    labels = np.arange(system.dim) * int(gen.sign) % system.dim  # of the roots in turn order
+    paths = np.repeat(system.values[:, None], len(t_grid), axis=1)
+    for k in np.flatnonzero(t_grid):
+        phi = spectrum.angles(t_grid[k])
+        turn = np.mod(gen.sign * (phi - np.angle(system.values[0])), 2 * np.pi)
+        paths[labels, k] = np.exp(1j * phi[np.argsort(turn)])
+    return paths
 
 
 def brute_membership(a: np.ndarray, n_dense: int = 16384) -> str:

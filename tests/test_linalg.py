@@ -5,13 +5,17 @@ from hypothesis import strategies as st
 
 from nrsteer import demo, linalg
 from nrsteer.linalg import (
+    CLUSTER_TOL,
     BranchCutWarning,
     EigendecompositionError,
+    _cluster_on_circle,
     _herm_eig,
     _unitary_eig,
+    _unitary_eig_stack,
     check_hermitian,
     check_unitary,
     geodesic_point,
+    principal_args,
     principal_log_unitary,
     schatten_inf,
     unitary_eig,
@@ -198,7 +202,7 @@ class TestUnitaryEigOrder:
 
 
 class TestStackedUnitaryEig:
-    """A (K, d, d) stack gives every matrix the eigensystem it gets alone."""
+    """A (K, d, d) stack gives every matrix the values and |eigenvectors|² it gets alone."""
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_matches_one_at_a_time(self, d, monkeypatch):
@@ -216,14 +220,18 @@ class TestStackedUnitaryEig:
         monkeypatch.setattr(
             linalg, "schur", lambda *a, **k: schur_calls.append(1) or real_schur(*a, **k)
         )
-        stacked = _unitary_eig(np.array(mats))
+        values, vectors = _unitary_eig_stack(np.array(mats))
         assert (len(schur_calls) > 0) == (d >= 2)
-        assert len(stacked) == len(mats)
-        for m, system in zip(mats, stacked):
-            alone = _unitary_eig(m)
-            assert system.groups == alone.groups
-            assert np.abs(system.values - alone.values).max() <= 1e-13
-            assert np.abs(system.vectors - alone.vectors).max() <= 1e-13
+        assert len(values) == len(vectors) == len(mats)
+        for m, lam, x in zip(mats, values, vectors):
+            alone_values, alone_vectors = _unitary_eig_stack(m[None])
+            assert np.abs(lam - alone_values[0]).max() <= 1e-13
+            assert np.abs(np.abs(x) ** 2 - np.abs(alone_vectors[0]) ** 2).max() <= 1e-13
+            # in ccw order the stacked values cluster as unitary_eig's do
+            ccw = lam[np.argsort(principal_args(lam))]
+            system = _unitary_eig(m)
+            assert tuple(map(tuple, _cluster_on_circle(ccw, CLUSTER_TOL))) == system.groups
+            assert np.abs(ccw - system.values).max() <= 1e-13
 
 
 class TestSchatten:

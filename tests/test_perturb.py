@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,13 @@ from nrsteer.perturb import (
     track_trajectory,
 )
 from nrsteer.steering import plan
-from nrsteer.testkit import assignment_paths, degenerate_fixture, fd_velocity, haar_unitary
+from nrsteer.testkit import (
+    assignment_paths,
+    degenerate_fixture,
+    fd_velocity,
+    haar_unitary,
+    secular_paths,
+)
 from nrsteer.verify import run_first_order_simple, run_first_order_split
 
 
@@ -291,10 +299,9 @@ class TestTrackTrajectory:
         fixture = degenerate_fixture(6, 4, 1, rng)
         gen = PerturbationGenerator(p=rng.dirichlet(np.ones(6)))
         solves = []
-        real_eig = perturb._unitary_eig
+        real_eig = perturb._unitary_eig_stack
         monkeypatch.setattr(
-            perturb, "_unitary_eig",
-            lambda u: solves.append(u.shape[0] if u.ndim == 3 else 1) or real_eig(u),
+            perturb, "_unitary_eig_stack", lambda u: solves.append(u.shape[0]) or real_eig(u)
         )
         record = track_trajectory(fixture.matrix, gen, t_end=2.0)
         # one eigensolve per grid point, U itself at t = 0 included
@@ -363,6 +370,37 @@ class TestTrackTrajectory:
                 assert record.n_steps == 41
                 turn = np.exp(gen.sign * 1j * record.t_grid / d)[None, :]
                 assert np.abs(record.paths - record.paths[:, :1] * turn).max() <= 1e-9
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+    def test_one_hot_close_pairs_match_the_secular_oracle(self, delta):
+        # the secular roots of a one-hot push interlace U's spectrum, so their
+        # labels cannot tie however close the pair, unlike an assignment's
+        for d, angles in ((2, [0.3, 0.3 + delta]), (4, [0.3, 0.3 + delta, 2.0, -2.0])):
+            x = haar_unitary(d, 43)
+            u = (x * np.exp(1j * np.asarray(angles))) @ x.conj().T
+            for direction, i in itertools.product(("ccw", "cw"), range(d)):
+                gen = PerturbationGenerator(p=np.eye(d)[i], direction=direction)
+                record = track_trajectory(u, gen, t_end=2.0)
+                oracle = secular_paths(u, gen, record.t_grid)
+                assert np.abs(record.paths - oracle).max() <= 1e-9
+
+    @pytest.mark.parametrize("direction", ["ccw", "cw"])
+    @pytest.mark.parametrize("d, degenerate", [(4, False), (16, False), (32, False), (6, True)])
+    def test_every_row_matches_an_independent_eigensolve(self, d, degenerate, direction):
+        # a 4-fold eigenvalue is split at every t > 0 by a Dirichlet p
+        rng = np.random.default_rng(d)
+        u = degenerate_fixture(d, 4, 1, rng).matrix if degenerate else haar_unitary(d, rng)
+        gen = PerturbationGenerator(p=rng.dirichlet(np.ones(d)), direction=direction)
+        record = track_trajectory(u, gen, t_end=2.0)
+        for k in range(int(degenerate), record.n_steps):
+            values, vectors = np.linalg.eig(perturbed_unitary(u, gen, record.t_grid[k]))
+            cost = np.abs(record.paths[:, k][:, None] - values[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() <= 1e-9
+            # speeds p·|x|² of the simple eigenvalues, from eig's unit eigenvectors
+            simple = (np.abs(values[:, None] - values[None, :]) + np.eye(d)).min(axis=1) > 1e-6
+            miss = np.abs(record.speeds()[rows, k] - angular_speeds(vectors, gen.p)[cols])
+            assert simple.any() and miss[simple[cols]].max() <= 1e-9
 
     @pytest.mark.parametrize("seed", [44, 45])
     def test_close_pair_with_unequal_weights_follows_its_branches(self, seed):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
 
 from nrsteer import linalg, verify
 from nrsteer.linalg import CLUSTER_TOL, schatten_inf, unitary_eig
 from nrsteer.numrange import OUTSIDE, contains_zero_general, contains_zero_unitary
-from nrsteer.perturb import PerturbationGenerator, track_trajectory
+from nrsteer.perturb import PerturbationGenerator, perturbed_unitary, track_trajectory
 from nrsteer.testkit import (
     _separated_angles,
     assignment_paths,
@@ -14,6 +15,7 @@ from nrsteer.testkit import (
     degenerate_fixture,
     fd_velocity,
     haar_unitary,
+    secular_paths,
 )
 
 
@@ -194,6 +196,31 @@ class TestAssignmentPaths:
         paths = assignment_paths(u, gen, t_grid)
         expected = unitary_eig(u).values[:, None] * np.exp(-0.2j * t_grid)[None, :]
         assert np.abs(paths - expected).max() < 1e-12
+
+
+class TestSecularPaths:
+    @pytest.mark.parametrize("direction", ["ccw", "cw"])
+    def test_labelled_roots_are_the_interlacing_spectrum(self, direction):
+        # each column is the spectrum of U·V(t), and root j lies between θ_j
+        # and its neighbour in the push's direction
+        u = haar_unitary(5, 57)
+        theta = np.angle(unitary_eig(u).values)
+        t_grid = np.linspace(0.0, 6.0, 61)
+        for i in range(5):
+            gen = PerturbationGenerator(p=np.eye(5)[i], direction=direction)
+            paths = secular_paths(u, gen, t_grid)
+            for k, t in enumerate(t_grid):
+                expected = np.linalg.eigvals(perturbed_unitary(u, gen, t))
+                cost = np.abs(paths[:, k][:, None] - expected[None, :])
+                assert cost[linear_sum_assignment(cost)].max() <= 1e-9
+            turn = np.mod(gen.sign * (np.angle(paths) - theta[:, None]), 2 * np.pi)
+            width = np.mod(gen.sign * (np.roll(theta, -int(gen.sign)) - theta), 2 * np.pi)
+            assert np.all(turn[:, 1:] < width[:, None])
+
+    def test_needs_a_one_hot_p(self):
+        gen = PerturbationGenerator(p=np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError):
+            secular_paths(haar_unitary(3, 58), gen, np.linspace(0.0, 1.0, 3))
 
 
 class TestBruteMembership:
