@@ -21,11 +21,12 @@ and backward stable however close the eigenvalues in the run lie.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import lapack
 
 UNITARITY_TOL = 1e-10        # construction-time unitarity check
 RELAXED_UNITARITY_TOL = 1e-4  # for matrices ingested from low-precision text
@@ -61,8 +62,9 @@ class BranchCutWarning(UserWarning):
 
 
 class EigendecompositionError(Exception):
-    """An eigensolver failed: ``eigh``, or a LAPACK call of the support sweep (``zhetrd``,
-    ``dstebz``, ``dstein``, ``zunmqr``) or of the t* search (``dlasd4``)."""
+    """An eigensolver failed: ``eigh``, the Schur form of a close run (``zgees``), or a LAPACK
+    call of the support sweep (``zhetrd``, ``dstebz``, ``dstein``, ``zunmqr``) or of the t*
+    search (``dlasd4``)."""
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -80,9 +82,10 @@ def as_complex_matrix(entries) -> np.ndarray:
 def check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     """Validate ``‖U†U − 1‖∞ ≤ tol`` and return U as a complex array."""
     u = as_complex_matrix(u)
-    defect = u.conj().T @ u - np.eye(u.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails below
+        defect = u.conj().T @ u - np.eye(u.shape[0])
     norm = schatten_inf(defect)
-    if norm > tol:
+    if not norm <= tol:
         raise ValueError(f"matrix is not unitary: defect {norm:.3e} > tol {tol:.1e}")
     return u
 
@@ -92,7 +95,7 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
     h = as_complex_matrix(h)
     scale = max(1.0, float(np.abs(h).max()))
     defect = schatten_inf(h - h.conj().T)
-    if defect > HERM_TOL * scale:
+    if not defect <= HERM_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     return h
 
@@ -123,13 +126,21 @@ def _stack_slices(count: int, matrix_bytes: int) -> list[slice]:
 
 
 def schatten_inf(a: np.ndarray) -> float:
-    """Operator norm: the largest singular value of ``a``, from the eigenvalues of A†A."""
+    """Operator norm: the largest singular value of ``a``, from the eigenvalues of A†A.
+
+    ``a`` is first scaled by the power of two at or above its largest entry
+    modulus, so that A†A cannot overflow; the scaling is exact, so it changes
+    no rounding.  A largest modulus of inf or NaN is returned as the norm.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    if not a.size:
-        return 0.0
+    peak = float(np.abs(a).max()) if a.size else 0.0
+    if not 0 < peak < np.inf:
+        return peak
+    e = min(max(math.frexp(peak)[1], -1021), 1023)  # 2.0**±e stays a float
+    a = a * 2.0**-e
     gram = a.conj().T @ a
     gram = (gram + gram.conj().T) / 2
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))) * 2.0**e
 
 
 @dataclass(frozen=True)
@@ -253,9 +264,22 @@ def _schur_runs(u: np.ndarray, x: np.ndarray, close: np.ndarray) -> None:
             j += 1
         if j > i:
             block = x[:, i : j + 1]
-            _, z = schur(block.conj().T @ u @ block, output="complex")
-            x[:, i : j + 1] = block @ z
+            x[:, i : j + 1] = block @ _schur_vectors(block.conj().T @ u @ block)
         i = j + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _gees_lwork(k: int) -> int:
+    """Optimal ``zgees`` workspace for a k×k matrix: LAPACK's query, as ``scipy.linalg.schur`` makes it."""
+    return int(lapack.zgees(lambda x: None, np.zeros((k, k), complex), lwork=-1)[-2][0].real)
+
+
+def _schur_vectors(m: np.ndarray) -> np.ndarray:
+    """Unitary Z of the complex Schur form m = Z·T·Z†, from LAPACK ``zgees`` called directly."""
+    *_, z, _, info = lapack.zgees(lambda x: None, m, lwork=_gees_lwork(len(m)))
+    if info != 0:
+        raise EigendecompositionError(f"LAPACK zgees failed with info {info}")
+    return z
 
 
 def principal_args(values: np.ndarray) -> np.ndarray:

@@ -7,10 +7,13 @@ Given a unitary U whose numerical range misses 0, the planner
 2. targets the arc gap wider than π (the certificate that 0 is outside) and
    picks the one-hot weight vector and rotation direction that close that gap
    fastest at first order,
-3. steps t by the exact margin m(t) = widest arc gap − π of U·V(t)^±,
-   which is 1-Lipschitz because every eigenvalue turns at a speed in [0, 1],
-   so no step passes the first time 0 enters W(U·V(t)^±); once m < ``tol_t``
-   a probe at t + ``tol_t`` closes the bracket, and
+3. steps t through times certified outside.  Each step goes to the later
+   of t + m(t), where the margin m(t) = widest arc gap − π of U·V(t)^± is
+   1-Lipschitz because every eigenvalue turns at a speed in [0, 1], and the
+   first time the leading end of the gap can reach the antipode of its
+   trailing end, which never turns back.  So no step passes the first time
+   0 enters W(U·V(t)^±); once m < ``tol_t`` a probe at t + ``tol_t``
+   closes the bracket, and
 4. reports the minimal time together with the perturbation cost
    ‖1 − V(t*)‖∞ = 2·max_i |sin(p_i t*/2)|.
 
@@ -23,7 +26,11 @@ Math. 57 (1990)).  There is one root between each pair of neighbouring θ_j,
 and LAPACK ``dlasd4`` finds each one after a Cayley map turns the equation
 into a real rank-one secular equation (:class:`_OneHotSpectrum`).  So a plan
 makes one eigendecomposition, of U, and no margin evaluation solves an
-eigenproblem.
+eigenproblem.  By interlacing, the gap between the two roots that start at
+the ends a → b of U's widest gap is, until the touch, the only gap wider
+than π (Golub, SIAM Rev. 15 (1973)), so a step solves those two roots
+alone, and the time bound of step 3 is 2·arccot(±C(ψ)) at the antipode ψ,
+with C(φ) = Σ_j w_j·cot((φ − θ_j)/2).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .linalg import (
     check_unitary,
 )
 from .numrange import (
+    BOUNDARY_GAP_TOL,
     INSIDE,
     ON_BOUNDARY,
     OUTSIDE,
@@ -139,6 +147,11 @@ class _CayleyFrame:
     that this outer root lies above, and shifted by the nearest end, that is
     the equation of the squared singular values σ² of diag(D) + ρ·ẑẑᵀ with
     D_j² = |Y_j − end|, ‖ẑ‖ = 1 and ρ = ‖z‖²/|R|, which ``dlasd4`` solves.
+
+    Roots are numbered by the poles in ascending order: root j < n − 1 lies
+    between the j-th and (j + 1)-th smallest Y, and root n − 1 is the outer
+    one.  X falls as φ turns ccw from c, so the smallest pole is where U's
+    widest gap opens and the largest where it closes.
     """
 
     def __init__(self, angles: np.ndarray, weights: np.ndarray, center: float):
@@ -155,16 +168,17 @@ class _CayleyFrame:
         self.up = (np.sqrt(poles - poles[0]), z)
         self.down = (np.sqrt(poles[-1] - poles[::-1]), z[::-1])
 
-    def roots(self, r: float, t: float) -> np.ndarray:
-        """Angles of the moving eigenvalues for right-hand side R = ``r`` at time ``t``."""
+    def roots(self, r: float, t: float, js: np.ndarray) -> np.ndarray:
+        """Angles of roots ``js`` for right-hand side R = ``r`` at time ``t``, a ``dlasd4`` call each."""
+        n = len(self.up[0])
         if r < 0:
-            (d, z), end, sign = self.up, self.ends[0], 1.0
-        else:
-            (d, z), end, sign = self.down, self.ends[1], -1.0
+            (d, z), end, sign, ks = self.up, self.ends[0], 1.0, js
+        else:  # descending poles: root j is dlasd4's n − 2 − j, and the outer root stays last
+            (d, z), end, sign, ks = self.down, self.ends[1], -1.0, (n - 2 - js) % n
         rho = self.norm2 / abs(r)
-        sigma = np.empty(len(d))
-        for k in range(len(d)):
-            _, sigma[k], _, info = lapack.dlasd4(k, d, z, rho)
+        sigma = np.empty(len(ks))
+        for m, k in enumerate(ks):
+            _, sigma[m], _, info = lapack.dlasd4(k, d, z, rho)
             if info != 0:
                 raise EigendecompositionError(f"LAPACK dlasd4 failed with info {info} at t = {t!r}")
         return self.center + 2 * np.arctan2(1.0, end + sign * sigma**2)
@@ -182,7 +196,8 @@ class _OneHotSpectrum:
     roots come from the :class:`_CayleyFrame` centred on the middle of U's
     widest gap ``widest`` (as :func:`~nrsteer.numrange.widest_gap` gives it),
     or from one a quarter gap further on when that gives the larger
-    |R|/‖z‖²: R = 0 puts a root on the centre, out of dlasd4's reach.
+    |R|/‖z‖²: R = 0 puts a root on the centre, out of dlasd4's reach.  Where
+    ``dlasd4`` fails in the chosen chart, the other chart solves.
     """
 
     def __init__(self, system: EigenSystem, i: int, speed: float, widest: tuple[float, int, int]):
@@ -194,13 +209,27 @@ class _OneHotSpectrum:
         self.speed = speed
         self.fixed = np.repeat(angles, sizes - moving)
         self.moving = angles[moving]
+        self.weights = weights[moving]
         self.frames = ()
         if len(self.moving) > 1:
             gap, start, _ = widest
             center = angles[start] + gap / 2
             self.frames = tuple(
-                _CayleyFrame(self.moving, weights[moving], c) for c in (center, center + gap / 4)
+                _CayleyFrame(self.moving, self.weights, c) for c in (center, center + gap / 4)
             )
+        # the clusters a → b at the ends of the widest gap, when no eigenvalue is fixed
+        self.gap_clusters = list(widest[1:]) if self.frames and not len(self.fixed) else None
+
+    def _roots(self, t: float, js: np.ndarray) -> np.ndarray:
+        """Roots ``js``, numbered as in :class:`_CayleyFrame`, at a t where sin(phase/2) ≠ 0."""
+        cot_half = 1 / math.tan(self.speed * t / 2)
+        first, other = sorted(
+            self.frames, key=lambda f: abs(cot_half + f.offset) / f.norm2, reverse=True
+        )
+        try:
+            return first.roots(cot_half + first.offset, t, js)
+        except EigendecompositionError:
+            return other.roots(cot_half + other.offset, t, js)
 
     def angles(self, t: float) -> np.ndarray:
         """Eigenangles of U·V(t) in [0, 2π), with multiplicity, in no particular order."""
@@ -210,10 +239,46 @@ class _OneHotSpectrum:
         elif not self.frames:
             moved = self.moving + phase
         else:
-            cot_half = 1 / math.tan(phase / 2)
-            frame = max(self.frames, key=lambda f: abs(cot_half + f.offset) / f.norm2)
-            moved = frame.roots(cot_half + frame.offset, t)
+            moved = self._roots(t, np.arange(len(self.moving)))
         return np.mod(np.concatenate([self.fixed, moved]), 2 * np.pi)
+
+    def gap_ends(self, t: float) -> np.ndarray | None:
+        """Angles of the two roots that start at a and b, the ends of U's widest gap.
+
+        Until the first touch, the gap from a's root ccw to b's is the only
+        one wider than π, because each root stays between its two poles and
+        no eigenvalue is fixed.  None when an eigenvalue is fixed, since it
+        could lie in that gap, or when fewer than two eigenvalues move.
+        """
+        if self.gap_clusters is None:
+            return None
+        n = len(self.moving)
+        if math.sin(self.speed * t / 2) == 0:
+            return self.moving[self.gap_clusters]
+        if self.speed > 0:  # a's root is the outer one, b's lies above the largest pole
+            return self._roots(t, np.array([n - 1, n - 2]))
+        return self._roots(t, np.array([0, n - 1]))  # a's lies above the smallest pole
+
+    def gap_step(self, t: float) -> tuple[float, float] | None:
+        """Margin m(t) from :meth:`gap_ends`, and a time before which 0 stays outside.
+
+        Every root turns one way, so the trailing root (b's under a ccw push,
+        a's under cw) never turns back, and the gap cannot close before the
+        leading root reaches the trailing root's antipode ψ.  A moving root
+        sits at ψ where cot(phase/2) = C(ψ) = Σ_j w_j·cot((ψ − θ_j)/2).  The
+        gap closes within the first turn, as the leading root nears the next
+        pole, so that phase is taken in (0, 2π).  None where
+        :meth:`gap_ends` is None.
+        """
+        ends = self.gap_ends(t)
+        if ends is None:
+            return None
+        lo, hi = ends
+        margin = float(np.mod(hi - lo, 2 * np.pi)) - np.pi
+        ccw = self.speed > 0
+        psi = hi - np.pi if ccw else lo + np.pi
+        c = float(self.weights @ (1 / np.tan((psi - self.moving) / 2)))
+        return margin, 2 * math.atan2(1.0, c if ccw else -c) / abs(float(self.speed))
 
 
 def _min_time_search(
@@ -232,6 +297,15 @@ def _min_time_search(
     when the certified steps cover the horizon.  ``gen`` must be one-hot
     (p = e_i), as the generators of :func:`select_generator` are; any other p
     raises ``ValueError``.
+
+    Each step solves the two roots at the ends of U's widest gap
+    (:meth:`_OneHotSpectrum.gap_step`) and moves t to the later of t + m(t),
+    safe because m is 1-Lipschitz, and the time the leading root needs to
+    reach the trailing root's antipode.  The full spectrum is solved only
+    where a verdict other than outside is possible: where that margin is
+    within ``BOUNDARY_GAP_TOL`` of 0, at the probe t + ``tol_t`` that closes
+    the bracket once m < ``tol_t``, and at every step where a fixed
+    eigenvalue or a single moving one leaves no two-root margin.
     """
     if gen.p.shape[0] != system.dim:
         raise ValueError(
@@ -249,11 +323,17 @@ def _min_time_search(
 
     t, evals = 0.0, 0
     while True:
-        margin, verdict = margin_at(t)
+        step = spectrum.gap_step(t)
+        if step is not None and step[0] > BOUNDARY_GAP_TOL:
+            margin, safe = step
+        else:
+            margin, verdict = margin_at(t)
+            if verdict != OUTSIDE:
+                return t, _REACHED[verdict]
+            safe = t
         evals += 1
-        if verdict != OUTSIDE:
-            return t, _REACHED[verdict]
-        if t + margin > t_horizon:  # [t, t + margin) is certified outside
+        after = max(t + margin, safe)
+        if after > t_horizon:  # [t, after) is certified outside
             return None, NOT_REACHED
         if margin < tol_t:
             probe = min(t + tol_t, t_horizon)
@@ -266,7 +346,7 @@ def _min_time_search(
                 f"t* search gave up after {evals} margin evaluations "
                 f"at t = {t:.12g} with m(t) = {margin:.3e}"
             )
-        t += margin
+        t = after
 
 
 def perturbation_cost(p: np.ndarray, t: float) -> float:

@@ -167,6 +167,15 @@ class TestRangeCommand:
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_scale_decides(self, tmp_path, capsys, scale):
+        # W(cA) = c·W(A): the verdict is A's; the tolerance 1e-9·‖cA‖ must stay finite
+        path = tmp_path / "huge.json"
+        iofmt.write_matrix(path, scale * np.array([[1, 2], [3, 4j]]))
+        code = run_cli("range", "--input", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert "origin verdict: outside" in capsys.readouterr().out
+
     def test_polar_fix_restores_strict_unitarity(self, demo_file, tmp_path):
         code = run_cli(
             "range", "--input", demo_file, "--out-dir", str(tmp_path), "--polar-fix"
@@ -203,6 +212,19 @@ class TestSteerCommand:
                 f"{iofmt.format_float(z.real)}:{iofmt.format_float(z.imag)}" for z in m.T.ravel()
             ).encode()
         ).hexdigest()
+
+    @pytest.mark.parametrize("command", ["steer", "trajectory"])
+    @pytest.mark.parametrize("scale", [1e78, 1e200])
+    def test_overflowing_defect_exits_2(self, tmp_path, capsys, scale, command):
+        # U†U − 1 of these copies has a NaN norm when squared unscaled; it must fail the gate
+        path = tmp_path / "huge.json"
+        iofmt.write_matrix(path, scale * np.array([[1, 2], [3, 4j]]))
+        extra = ["--p", "0,1"] if command == "trajectory" else []
+        code = run_cli(command, "--input", str(path), "--out-dir", str(tmp_path / "out"), *extra)
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not unitary" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_nothing_to_steer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "roots.json"

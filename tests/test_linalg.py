@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import schur
 
 from nrsteer import demo, linalg
 from nrsteer.linalg import (
@@ -49,6 +52,18 @@ class TestValidation:
     def test_unitary_exp_herm_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             unitary_exp_herm(complex_mat([[0, 1], [0, 0]]))
+
+    @pytest.mark.parametrize("scale", [1e78, 1e200])
+    def test_check_unitary_rejects_overflowing_copies(self, scale):
+        # U†U of these copies is 1e156 or overflows to inf; neither defect may pass as NaN
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(scale * complex_mat([[1, 2], [3, 4j]]), tol=1e-4)
+
+    def test_check_hermitian_rejects_large_non_hermitian(self):
+        # the defect's Gram matrix would reach 1e320 without scaling
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(1e160 * complex_mat([[0, 1], [0, 0]]))
+        check_hermitian(1e160 * complex_mat([[1, 2j], [-2j, 0.5]]))
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -216,9 +231,9 @@ class TestStackedUnitaryEig:
         if d >= 3:  # an exactly (d − 1)-fold eigenvalue
             mats.append(degenerate_fixture(d, d - 1, 1, rng).matrix)
         schur_calls = []
-        real_schur = linalg.schur
+        real_schur = linalg._schur_vectors
         monkeypatch.setattr(
-            linalg, "schur", lambda *a, **k: schur_calls.append(1) or real_schur(*a, **k)
+            linalg, "_schur_vectors", lambda m: schur_calls.append(1) or real_schur(m)
         )
         values, vectors = _unitary_eig_stack(np.array(mats))
         assert (len(schur_calls) > 0) == (d >= 2)
@@ -250,6 +265,49 @@ class TestSchatten:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert schatten_inf(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
+    @pytest.mark.parametrize("scale", [2.0**-1070, 1e-300, 1e-150, 1e150, 1e300, 2.0**1020])
+    def test_scale_equivariant(self, scale):
+        # the Gram matrix of the scaled copy would underflow or overflow; the
+        # power-of-two scaling inside keeps every norm finite and to rounding
+        a = complex_mat([[1, 2], [3, 4j]])
+        assert schatten_inf(scale * a) == pytest.approx(scale * schatten_inf(a), rel=1e-13)
+
+    def test_power_of_two_scaling_keeps_rounding(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 5, 16):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            gram = a.conj().T @ a
+            unscaled = float(np.sqrt(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]))
+            assert schatten_inf(a) == unscaled
+
+    def test_non_finite_and_empty(self):
+        assert schatten_inf(np.full((2, 2), np.inf + 0j)) == np.inf
+        assert np.isnan(schatten_inf(np.array([[np.nan, 1.0]])))
+        assert schatten_inf(np.zeros((0, 0))) == 0.0
+        assert schatten_inf(np.zeros((3, 3))) == 0.0
+
+
+class TestSchurVectors:
+    def test_matches_scipy_schur_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for k in range(2, 9):
+            for _ in range(20):
+                x = haar_unitary(k, rng)
+                theta = rng.uniform(-np.pi, np.pi, k)
+                theta[: k // 2] = theta[0] + 1e-6 * rng.standard_normal(k // 2)
+                noise = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                m = (x * np.exp(1j * theta)) @ x.conj().T + 1e-12 * noise
+                assert np.array_equal(linalg._schur_vectors(m), schur(m, output="complex")[1])
+
+    def test_failure_raises(self, monkeypatch):
+        def zgees(select, a, lwork):
+            return a, 0, np.diag(a), np.eye(len(a)), np.zeros(1), 3
+
+        monkeypatch.setattr(linalg, "lapack", types.SimpleNamespace(zgees=zgees))
+        with pytest.raises(EigendecompositionError, match="zgees failed with info 3"):
+            linalg._schur_vectors(np.eye(2, dtype=complex))
 
 
 class TestPrincipalLog:

@@ -1,10 +1,12 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from nrsteer import demo, linalg, perturb, steering
 from nrsteer.linalg import EigendecompositionError, EigenSystem, schatten_inf, unitary_eig
@@ -12,7 +14,10 @@ from nrsteer.numrange import (
     BOUNDARY_GAP_TOL,
     BOUNDARY_WITHIN_TOL,
     INSIDE,
+    ON_BOUNDARY,
     OUTSIDE,
+    _gap_verdict,
+    _widest_arc,
     contains_zero_general,
     widest_gap,
 )
@@ -175,6 +180,202 @@ class TestMinTimeSearch:
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]), direction="cw")
         with pytest.raises(EigendecompositionError, match=r"dlasd4 failed with info 1 at t = "):
             t_star_search(demo.DEMO_MATRIX, gen, 2 * np.pi, 1e-3)
+
+
+# An 8×8 eigensystem (simple eigenvalues, and row 5 of its eigenvectors, the
+# row the cw push e_5 reads) on which dlasd4 fails with info 1 for root 0 in
+# the chart of larger |R|/‖z‖² (129.0) at t = 0.01; the other chart (54.2)
+# solves it.  Found among seeded draws of conditioned-ensemble unitaries.
+CHART_FAILURE_VALUES = np.array([
+    complex(-0.7282633311454891, -0.6852973956676587),
+    complex(-0.70381460403634, -0.710383701351017),
+    complex(0.3472300109111707, -0.9377799952668149),
+    complex(0.35458335215365155, -0.9350244095078375),
+    complex(0.5946362433052831, -0.8039948620157843),
+    complex(0.7052546063488886, -0.7089541171498144),
+    complex(-0.8433725669102433, 0.5373292411391982),
+    complex(-0.9130656426897615, 0.4078126189066898),
+])
+CHART_FAILURE_ROW = np.array([
+    complex(-0.2201353588364208, 0.17506363477099446),
+    complex(0.20987106495219476, 0.2746608610666216),
+    complex(-0.22836696036931414, 0.025908769724502137),
+    complex(-0.18725932064814965, -0.04646602463628032),
+    complex(0.3856594638637739, -0.061909210790131314),
+    complex(-0.05444373212572639, -0.06617891184825615),
+    complex(0.671082052212621, -8.591056233632238e-18),
+    complex(0.21350307760082063, -0.23561916682682302),
+])
+
+
+def chart_failure_system():
+    """The pinned eigensystem, its rows other than 5 completed to a unitary."""
+    rest = null_space(CHART_FAILURE_ROW[None, :]).conj().T  # rows orthogonal to row 5
+    vectors = np.insert(rest, 5, CHART_FAILURE_ROW, axis=0)
+    return EigenSystem(CHART_FAILURE_VALUES, vectors, tuple((j,) for j in range(8)))
+
+
+def margin_stepping_touch(u, gen, t_end):
+    """First eigvals margin step with margin ≤ BOUNDARY_GAP_TOL, or None past ``t_end``."""
+    t = 0.0
+    for _ in range(100_000):
+        if t > t_end:
+            return None
+        margin = exact_margin(u, gen, t)
+        if margin <= BOUNDARY_GAP_TOL:
+            return t
+        t += margin
+    pytest.fail(f"margin steps stalled at t = {t}")
+
+
+def one_hot(d, i, direction):
+    p = np.zeros(d)
+    p[i] = 1.0
+    return PerturbationGenerator(p=p, direction=direction)
+
+
+def search_cases():
+    """Seeded conditioned draws, d = 2–64, under the selected push e_i in both directions."""
+    for d in (2, 3, 4, 6, 8, 16, 32, 64):
+        for seed in (d, 100 + d):
+            u = conditioned_unitary(d, seed)
+            system = unitary_eig(u)
+            gen, _ = select_generator(system, speed_profile(system), widest_gap(system))
+            i = int(np.argmax(gen.p))
+            for direction in ("ccw", "cw"):
+                yield pytest.param(u, one_hot(d, i, direction), id=f"d{d}-s{seed}-{direction}")
+
+
+def degenerate_cases():
+    """Fixtures with a 2- to 4-fold eigenvalue and a widest gap above π, every e_i, both ways.
+
+    In the first of each pair of seeds the cluster lies at an end of the
+    widest gap, in the second away from it.
+    """
+    for d, k, seed in ((5, 3, 1), (5, 3, 3), (6, 2, 11), (6, 2, 14), (8, 4, 11), (8, 4, 4)):
+        fixture = degenerate_fixture(d, k, 1, seed=seed)
+        assert widest_gap(fixture.system)[0] > np.pi
+        for i in range(d):
+            for direction in ("ccw", "cw"):
+                label = f"d{d}-k{k}-s{seed}-e{i}-{direction}"
+                yield pytest.param(fixture.matrix, one_hot(d, i, direction), id=label)
+
+
+class TestInterlacingSearch:
+    """The two-root t* search against margin steps on numpy ``eigvals`` of U·V(t)."""
+
+    @staticmethod
+    def check_against_stepping(u, gen, t_horizon=2 * np.pi, tol_t=1e-3):
+        t_star, verdict = t_star_search(u, gen, t_horizon, tol_t)
+        if t_star is None:
+            assert verdict == NOT_REACHED
+            assert margin_stepping_touch(u, gen, t_horizon) is None
+            return
+        margin = exact_margin(u, gen, t_star)
+        assert margin <= BOUNDARY_GAP_TOL
+        expected = {INSIDE: REACHED_INTERIOR, ON_BOUNDARY: REACHED_BOUNDARY}
+        assert verdict == expected[_gap_verdict(margin + np.pi)]
+        touch = margin_stepping_touch(u, gen, t_star - tol_t)
+        assert touch is None, f"touch at t = {touch} before t* = {t_star}"
+
+    @pytest.mark.parametrize("u, gen", search_cases())
+    def test_conditioned_draws(self, u, gen):
+        self.check_against_stepping(u, gen)
+
+    @pytest.mark.parametrize("u, gen", degenerate_cases())
+    def test_degenerate_clusters(self, u, gen):
+        self.check_against_stepping(u, gen)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
+    def test_gap_ends_are_the_widest_arc(self, d):
+        # before the touch, the roots that start at the ends of U's widest gap
+        # bound the widest arc of the whole spectrum
+        matched = 0
+        for seed in range(3):
+            system = unitary_eig(conditioned_unitary(d, 50 + seed))
+            widest = widest_gap(system)
+            gen, _ = select_generator(system, speed_profile(system), widest)
+            i = int(np.argmax(gen.p))
+            for direction, sign in (("ccw", 1.0), ("cw", -1.0)):
+                t_star, _ = steering._min_time_search(
+                    system, one_hot(d, i, direction), 2 * np.pi, 1e-3, widest
+                )
+                spectrum = steering._OneHotSpectrum(system, i, sign, widest)
+                end = 2 * np.pi if t_star is None else t_star - 1e-3
+                for t in np.linspace(0.0, end, 25):
+                    angles = spectrum.angles(t)
+                    _, start, stop = _widest_arc(angles)
+                    ends = spectrum.gap_ends(t)
+                    assert circle_distance(ends[:1], angles[[start]]) <= 1e-12
+                    assert circle_distance(ends[1:], angles[[stop]]) <= 1e-12
+                    matched += 1
+        assert matched == 3 * 2 * 25
+
+    def test_demo_counts(self, monkeypatch):
+        # margin steps on the full spectrum took 57 dlasd4 calls and 20 full
+        # margins here; two roots a step and the secular bound take 24 and 2
+        calls = {"dlasd4": 0, "full": 0}
+        real_lapack, real_angles = steering.lapack, steering._OneHotSpectrum.angles
+
+        def dlasd4(*args):
+            calls["dlasd4"] += 1
+            return real_lapack.dlasd4(*args)
+
+        def angles(spectrum, t):
+            calls["full"] += 1
+            return real_angles(spectrum, t)
+
+        monkeypatch.setattr(steering, "lapack", types.SimpleNamespace(dlasd4=dlasd4))
+        monkeypatch.setattr(steering._OneHotSpectrum, "angles", angles)
+        result = plan(demo.DEMO_MATRIX)
+        assert 1.40 <= result.t_star <= 1.50
+        assert calls == {"dlasd4": 24, "full": 2}
+
+    def test_no_eigenvalue_fixed_for_two_roots(self):
+        # a fixed copy of a gap end, or a lone moving eigenvalue, leaves no two-root margin
+        fixture = degenerate_fixture(6, 3, 1, seed=1)
+        system = fixture.system
+        spectrum = steering._OneHotSpectrum(system, 0, 1.0, widest_gap(system))
+        assert len(spectrum.fixed) == 2
+        assert spectrum.gap_ends(0.5) is None and spectrum.gap_step(0.5) is None
+        one = unitary_eig(np.diag([1.0, 1j]))
+        assert steering._OneHotSpectrum(one, 0, 1.0, widest_gap(one)).gap_ends(0.5) is None
+
+
+class TestChartRetry:
+    """dlasd4 failing in one Cayley chart falls back to the other chart."""
+
+    def test_pinned_chart_failure(self):
+        system = chart_failure_system()
+        u = (system.vectors * system.values) @ system.vectors.conj().T
+        widest = widest_gap(system)
+        spectrum = steering._OneHotSpectrum(system, 5, -1.0, widest)
+        assert circle_distance(spectrum.angles(0.01), reference_angles(u, 5, "cw", 0.01)) <= 1e-12
+        ends = spectrum.gap_ends(0.01)
+        angles = spectrum.angles(0.01)
+        _, start, stop = _widest_arc(angles)
+        assert circle_distance(ends, angles[[start, stop]]) <= 1e-12
+        gen = one_hot(8, 5, "cw")
+        t_star, verdict = steering._min_time_search(system, gen, 2 * np.pi, 1e-3, widest)
+        assert verdict == REACHED_INTERIOR
+        assert exact_margin(u, gen, t_star) <= BOUNDARY_GAP_TOL
+
+    @pytest.mark.parametrize("broken", [0, 1])
+    def test_other_chart_solves(self, monkeypatch, broken):
+        u = conditioned_unitary(6, 7)
+        system = unitary_eig(u)
+        spectrum = steering._OneHotSpectrum(system, 2, 1.0, widest_gap(system))
+        real = steering._CayleyFrame.roots
+
+        def roots(frame, r, t, js):
+            if frame is spectrum.frames[broken]:
+                raise EigendecompositionError("dlasd4 failed")
+            return real(frame, r, t, js)
+
+        monkeypatch.setattr(steering._CayleyFrame, "roots", roots)
+        for t in np.linspace(0.05, 2 * np.pi - 0.05, 40):
+            got = spectrum.angles(t)
+            assert circle_distance(got, reference_angles(u, 2, "ccw", t)) <= 1e-12
 
 
 class TestSecularRoots:
