@@ -23,12 +23,11 @@ import numpy as np
 
 from .linalg import (
     CLUSTER_TOL,
-    UNITARITY_TOL,
     _cluster_on_circle,
     _has_near_pair,
     _stack_slices,
     _unitary_eig_stack,
-    check_unitary,
+    nearest_unitary,
     principal_args,
 )
 
@@ -210,12 +209,7 @@ def _rank_offsets(args: np.ndarray, sign: float, h: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(turns)])
 
 
-def track_trajectory(
-    u: np.ndarray,
-    gen: PerturbationGenerator,
-    t_end: float,
-    unitarity_tol: float = UNITARITY_TOL,
-) -> TrajectoryRecord:
+def track_trajectory(u: np.ndarray, gen: PerturbationGenerator, t_end: float) -> TrajectoryRecord:
     """Track the eigenvalues of U·V(t) from t = 0 to ``t_end``.
 
     The grid is steps of ``MAX_TRACK_STEP`` that land exactly on ``t_end``,
@@ -229,14 +223,14 @@ def track_trajectory(
     arguments are the lifted arguments of the ranks.  A step with a move
     below −``STEP_TOL``, or whose moves miss h by more than ``STEP_TOL``,
     raises :class:`TrackingCollisionError`.
-    U is checked for unitarity once, here: every U·V(t) only rescales its
-    columns by unit phases and keeps its unitarity defect.  A grid whose
-    points times d exceed ``MAX_TRACK_ROWS`` raises ``ValueError`` before
-    anything is built.
+    U enters once, here, by :func:`~nrsteer.linalg.nearest_unitary`, and its
+    polar factor is tracked: every U·V(t) only rescales those columns by unit
+    phases.  A grid whose points times d exceed ``MAX_TRACK_ROWS`` raises
+    ``ValueError`` before anything is built.
     """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    u = check_unitary(u, tol=unitarity_tol)
+    u = nearest_unitary(u)
     if gen.p.shape[0] != u.shape[0]:
         raise ValueError("generator dimension does not match the matrix")
     d = u.shape[0]

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import (
-    RELAXED_UNITARITY_TOL,
-    EigendecompositionError,
-    EigenSystem,
-    _unitary_eig,
-    check_unitary,
-)
+from .linalg import EigendecompositionError, EigenSystem, _unitary_eig, nearest_unitary
 from .numrange import (
     BOUNDARY_GAP_TOL,
     INSIDE,
@@ -119,8 +113,10 @@ def select_generator(
     The gap from eigenvalue a ccw to eigenvalue b shrinks at first order at
     rate S[a,i] − S[b,i] under ccw rotation with weight e_i (the sign flips
     for cw), so the basis index with the largest absolute row difference is
-    chosen and the sign dictates the direction.  Ties resolve to the lowest
-    basis index.  The gap (a, b) is ``widest``, the ``widest_gap(system)``
+    chosen and the sign dictates the direction.  Ties within rounding (1e-12)
+    resolve to the lowest basis index: at d = 2 the profile is doubly
+    stochastic, so both indices always tie, and e₀ ccw and e₁ cw differ only
+    by a global phase.  The gap (a, b) is ``widest``, the ``widest_gap(system)``
     of :func:`~nrsteer.numrange.widest_gap`; its width is the gap test of
     :func:`~nrsteer.numrange.contains_zero_unitary`.
     """
@@ -129,7 +125,7 @@ def select_generator(
         raise NothingToSteerError("nothing to steer: 0 already lies in the numerical range")
     a, b = system.groups[start][0], system.groups[end][0]
     diff = profile[a] - profile[b]
-    best = int(np.argmax(np.abs(diff)))
+    best = int(np.argmax(np.abs(diff) >= np.abs(diff).max() - 1e-12))
     direction = CCW if diff[best] > 0 else CW
     p = np.zeros(system.dim)
     p[best] = 1.0
@@ -357,9 +353,11 @@ def perturbation_cost(p: np.ndarray, t: float) -> float:
 def plan(u: np.ndarray, t_horizon: float = 2 * np.pi, tol_t: float = 1e-3) -> SteeringPlan:
     """Full pipeline: eigensystem → speed profile → generator → minimal time.
 
-    U is checked within ``RELAXED_UNITARITY_TOL``, for matrices read from text.
+    U enters by :func:`~nrsteer.linalg.nearest_unitary`, and the plan is its
+    polar factor's.  W(U·V) lies within δ = ‖U − polar(U)‖∞ of W(polar(U)·V)
+    in Hausdorff distance, so each verdict holds for U within δ.
     """
-    return _plan(_unitary_eig(check_unitary(u, tol=RELAXED_UNITARITY_TOL)), t_horizon, tol_t)
+    return _plan(_unitary_eig(nearest_unitary(u)), t_horizon, tol_t)
 
 
 def _plan(system: EigenSystem, t_horizon: float, tol_t: float) -> SteeringPlan:

@@ -201,7 +201,8 @@ def brute_membership(a: np.ndarray, n_dense: int = 16384) -> str:
 
     Deliberately independent duplicate of the production support sweep (same
     mathematics, separate code path, no bisection) on a dense default grid of
-    16384 angles, against the 720 of a default ``range`` sweep.
+    16384 angles, against the 720 of a default ``range`` sweep.  h(θ) is
+    ‖A‖-Lipschitz, so ``inside`` needs a sampled min h above tol + ‖A‖·π/n_dense.
     """
     a = np.asarray(a, dtype=np.complex128)
     angles = np.arange(n_dense) * (2 * np.pi / n_dense)
@@ -213,6 +214,6 @@ def brute_membership(a: np.ndarray, n_dense: int = 16384) -> str:
     tol = 1e-9 * max(scale, 1e-300)
     if h_min < -tol:
         return "outside"
-    if h_min > tol:
+    if h_min - scale * np.pi / n_dense > tol:
         return "inside"
     return "boundary_within_tol"

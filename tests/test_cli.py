@@ -176,12 +176,6 @@ class TestRangeCommand:
         assert code == 0
         assert "origin verdict: outside" in capsys.readouterr().out
 
-    def test_polar_fix_restores_strict_unitarity(self, demo_file, tmp_path):
-        code = run_cli(
-            "range", "--input", demo_file, "--out-dir", str(tmp_path), "--polar-fix"
-        )
-        assert code == 0
-
 
 class TestSteerCommand:
     def test_demo_report(self, demo_file, tmp_path):
@@ -194,6 +188,8 @@ class TestSteerCommand:
         assert 1.40 <= report["plan"]["t_star"] <= 1.50
         assert report["plan"]["verdict"] in ("reached_interior", "reached_boundary")
         assert report["input"]["sha256"]
+        # the 6-decimal demo lies 6.0e-7 from its polar factor, the unitary steered
+        assert 5e-7 <= report["input"]["polar_distance"] <= 7e-7
         assert set(report["settings"]) == {"horizon", "tol_t", "unitarity_tol"}
 
     def test_digest_bytes_unchanged(self):
@@ -318,7 +314,7 @@ class TestParserReuse:
         # must not become the defaults of the next
         calls = [
             ("steer", "--horizon", "0.1", "--tol-t", "1e-2"),
-            ("range", "--angles", "64", "--polar-fix"),
+            ("range", "--angles", "64"),
             ("steer",),
         ]
 
@@ -440,7 +436,7 @@ class TestTrajectoryCommand:
     def test_csv_block_seams(self, tmp_path, monkeypatch):
         # 20 grid points of 3 rows: one block by default, eight of 7 rows and one of 4 below
         gen = perturb.PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]))
-        record = perturb.track_trajectory(demo.DEMO_MATRIX, gen, t_end=0.95, unitarity_tol=1e-4)
+        record = perturb.track_trajectory(demo.DEMO_MATRIX, gen, t_end=0.95)
         iofmt.write_trajectory_csv(tmp_path / "one.csv", record)
         monkeypatch.setattr(iofmt, "_CSV_BLOCK_ROWS", 7)
         iofmt.write_trajectory_csv(tmp_path / "many.csv", record)
@@ -511,6 +507,17 @@ class TestExampleCommand:
         assert 1.40 <= report["plan"]["t_star"] <= 1.50
         for name in report["files"]:
             assert (out / name).exists()
+
+    def test_steer_on_the_demo_file_agrees(self, demo_file, tmp_path):
+        # both enter through nearest_unitary, so they plan the same unitary
+        assert run_cli("example", "--out-dir", str(tmp_path / "example")) == 0
+        assert run_cli("steer", "--input", demo_file, "--out-dir", str(tmp_path / "steer")) == 0
+        example, steer = (
+            json.loads((tmp_path / name / "report.json").read_text()) for name in ("example", "steer")
+        )
+        assert example["plan"] == steer["plan"]
+        for key in ("sha256", "dim", "polar_distance"):
+            assert example["input"][key] == steer["input"][key]
 
     def test_reports_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

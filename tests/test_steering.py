@@ -543,7 +543,7 @@ class TestPlan:
             plan(u)
         gen = PerturbationGenerator(p=np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="not unitary"):
-            track_trajectory(u, gen, t_end=1.0, unitarity_tol=1e-4)
+            track_trajectory(u, gen, t_end=1.0)
 
     def test_hand_case_consistent(self):
         result = plan(np.diag([1.0, np.exp(1j * np.pi / 2)]), tol_t=1e-4)
@@ -592,9 +592,7 @@ class TestPlan:
     def test_targeted_gap_closes_monotonically(self):
         result = plan(demo.DEMO_MATRIX)
         gen = PerturbationGenerator(p=result.p, direction=result.direction)
-        record = track_trajectory(
-            demo.DEMO_MATRIX, gen, t_end=result.t_star, unitarity_tol=1e-4
-        )
+        record = track_trajectory(demo.DEMO_MATRIX, gen, t_end=result.t_star)
         a, b = result.target_gap
         gap = record.unwrapped_args[b] - record.unwrapped_args[a]
         gap = np.where(gap < 0, gap + 2 * np.pi, gap)

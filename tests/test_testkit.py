@@ -230,6 +230,14 @@ class TestBruteMembership:
         third_roots = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
         assert brute_membership(third_roots) == "inside"
 
+    def test_inside_allows_for_the_dip_between_samples(self):
+        # a chord 5e-4 left of 0 whose support minimum lies midway between two
+        # of 4096 angles: both samples there read +2.7e-4, the minimum is −5e-4
+        eps, half_step = 5e-4, np.pi / 4096
+        u = np.diag(np.exp(1j * (np.array([1, -1]) * (np.pi / 2 + eps) + half_step)))
+        assert brute_membership(u, n_dense=4096) == "boundary_within_tol"
+        assert brute_membership(u) == "outside"  # 16384 angles put one on the minimum
+
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_production_paths(self, seed):
         rng = np.random.default_rng(seed)
