@@ -47,13 +47,5 @@ from .steering import (  # noqa: E402
     select_generator,
     speed_profile,
 )
-from .testkit import (  # noqa: E402
-    Fixture,
-    brute_membership,
-    conditioned_unitary,
-    degenerate_fixture,
-    fd_velocity,
-    haar_unitary,
-)
 
 __version__ = "0.1.0"

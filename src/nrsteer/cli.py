@@ -49,7 +49,6 @@ from .perturb import (
     track_trajectory,
 )
 from .steering import NothingToSteerError, _plan, perturbation_cost, speed_profile
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -217,6 +216,8 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all  # the property suite and its test kit load only here
+
     if args.trials == 0:
         print("warning: 0 trials requested; every property passes vacuously")
     outcomes = run_all(seed=args.seed, n_trials=args.trials, dims=args.dims)

@@ -17,7 +17,7 @@ Given a unitary U whose numerical range misses 0, the planner
 4. reports the minimal time together with the perturbation cost
    ‖1 − V(t*)‖∞ = 2·max_i |sin(p_i t*/2)|.
 
-The search takes only one-hot generators p = e_i, the only kind step 2
+The search steps only one-hot pushes p = e_i, the only kind step 2
 picks.  Then V(t) − 1 has rank one, and the eigenangles φ of U·V(t) are the
 roots of the secular equation Σ_j w_j·cot((φ − θ_j)/2) = cot(±t/2), where
 θ_j are the eigenangles of U and w_j = |X[i, j]|² its speed profile column
@@ -278,21 +278,15 @@ class _OneHotSpectrum:
 
 
 def _min_time_search(
-    system: EigenSystem,
-    gen: PerturbationGenerator,
-    t_horizon: float,
-    tol_t: float,
-    widest: tuple[float, int, int],
+    spectrum: _OneHotSpectrum, t_horizon: float, tol_t: float
 ) -> tuple[float | None, str]:
     """First time within the horizon at which 0 enters W(U·V(t)^±).
 
-    ``system`` is the eigensystem of a checked U and ``widest`` its
-    :func:`~nrsteer.numrange.widest_gap`; the caller checks the options.
-    Returns ``(t_star, verdict)``: 0 lies in the range at ``t_star`` and is
-    certified outside it at every t < ``t_star − tol_t``; ``t_star = None``
-    when the certified steps cover the horizon.  ``gen`` must be one-hot
-    (p = e_i), as the generators of :func:`select_generator` are; any other p
-    raises ``ValueError``.
+    ``spectrum`` gives the eigenangles of U·V(t) for the one-hot push e_i;
+    the caller checks U and the options.  Returns ``(t_star, verdict)``: 0
+    lies in the range at ``t_star`` and is certified outside it at every
+    t < ``t_star − tol_t``; ``t_star = None`` when the certified steps cover
+    the horizon.
 
     Each step solves the two roots at the ends of U's widest gap
     (:meth:`_OneHotSpectrum.gap_step`) and moves t to the later of t + m(t),
@@ -303,16 +297,6 @@ def _min_time_search(
     the bracket once m < ``tol_t``, and at every step where a fixed
     eigenvalue or a single moving one leaves no two-root margin.
     """
-    if gen.p.shape[0] != system.dim:
-        raise ValueError(
-            f"dimension mismatch: U is {system.dim}×{system.dim}, p has {gen.p.shape[0]} entries"
-        )
-    (support,) = np.nonzero(gen.p)
-    if len(support) != 1:
-        raise ValueError(f"the t* search needs a one-hot p = e_i, got p = {gen.p.tolist()}")
-    i = int(support[0])
-    spectrum = _OneHotSpectrum(system, i, gen.sign * gen.p[i], widest)
-
     def margin_at(t: float) -> tuple[float, str]:
         gap = _widest_arc(spectrum.angles(t))[0]
         return gap - np.pi, _gap_verdict(gap)
@@ -369,7 +353,8 @@ def _plan(system: EigenSystem, t_horizon: float, tol_t: float) -> SteeringPlan:
         raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
     widest = widest_gap(system)
     gen, gap = select_generator(system, speed_profile(system), widest)
-    t_star, verdict = _min_time_search(system, gen, t_horizon, tol_t, widest)
+    spectrum = _OneHotSpectrum(system, int(np.argmax(gen.p)), gen.sign, widest)
+    t_star, verdict = _min_time_search(spectrum, t_horizon, tol_t)
     norm = perturbation_cost(gen.p, t_star) if t_star is not None else None
     return SteeringPlan(
         p=gen.p,

@@ -259,7 +259,9 @@ def run_all(
     """Full suite with trial counts scaled from ``n_trials``.
 
     A 1×1 unitary turns exactly at first order and leaves no remainder to
-    measure, so the simple first-order runner, like the fixture runner, gets d ≥ 2.
+    measure, so the simple first-order runner, like the fixture runner, gets
+    the ``dims`` of at least 2, and the split runner those of at least 3.
+    Where no entry of ``dims`` qualifies, each of these runners takes d = 3.
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be nonnegative, got {n_trials}")
