@@ -66,8 +66,8 @@ class BranchCutWarning(UserWarning):
 
 class EigendecompositionError(Exception):
     """An eigensolver failed: ``eigh``, the Schur form of a close run (``zgees``), or a LAPACK
-    call of the support sweep (``zhetrd``, ``dstebz``, ``dstein``, ``zunmqr``) or of the t*
-    search (``dlasd4``)."""
+    call of the support sweep (``zhetrd``, ``dstemr``, ``zunmqr``) or of the t* search
+    (``dlasd4``)."""
 
 
 def as_complex_matrix(entries) -> np.ndarray:

@@ -13,15 +13,17 @@ Two complementary routes:
   so on an even grid only the angles in [0, π) are solved.  A sweep needs
   only the two extreme eigenpairs of each H(θ).  From
   d = ``TRIDIAGONAL_MIN_DIM`` on, each H(θ) is reduced once to real
-  tridiagonal form (LAPACK ``zhetrd``), bisection (``dstebz``) and inverse
-  iteration (``dstein``) give eigenpairs 1 and d of the tridiagonal, and
-  only those two vectors are mapped back (``zunmqr``): a full ``eigh``
-  would also build the d − 2 vectors no one reads.  Below that d the
-  per-angle calls cost more than a batched ``eigh`` over a block of at
-  most ``linalg.STACK_BYTES`` of Hermitian stack, so small matrices keep the
-  batched route.  Either way memory stays bounded as d and n grow.  A warm
-  start from the neighbouring angle would not save the reduction: one grid
-  step moves H(θ) by about as much as the gap λ₁ − λ₂ on typical inputs.
+  tridiagonal form (LAPACK ``zhetrd``), the MRRR solver ``dstemr`` gives
+  eigenpairs 1 and d of the tridiagonal by index, one call each, and only
+  those two vectors are mapped back (``zunmqr``): a full ``eigh`` would
+  also build the d − 2 vectors no one reads.  Below that d the per-angle calls cost
+  more than a batched ``eigh``, so small matrices keep the batched route.
+  Either way the angles are solved in blocks of at most
+  ``linalg.STACK_BYTES`` of Hermitian stack, and each block's vectors
+  become boundary points before the next, so memory grows like n, plus
+  one block of vectors.  A warm start from the neighbouring angle would
+  not save the reduction: one grid step moves H(θ) by about as much as the
+  gap λ₁ − λ₂ on typical inputs.
   The origin verdict is certified from such a sweep: the solved values
   bound min h from above, the chords between neighbouring boundary points
   bound it from below, and the cells that keep the bracket from deciding
@@ -123,69 +125,68 @@ def _tridiagonal_extremes(herm: np.ndarray, theta: float, lwork: int):
     """λ_min, λ_max and the d×2 array of their unit eigenvectors.
 
     ``herm`` is H(θ) in Fortran order and is overwritten.  One ``zhetrd``
-    reduces it to a real tridiagonal T = Q†HQ, ``dstebz`` bisects T for
-    eigenvalues 1 and d, ``dstein`` finds their eigenvectors by inverse
-    iteration, and ``zunmqr`` applies Q to those two columns alone.
+    reduces it to a real tridiagonal T = Q†HQ, ``dstemr`` (MRRR) finds
+    eigenpair 1 of T and of −T by index, and ``zunmqr`` applies Q to those
+    two columns alone.
     """
     d = herm.shape[0]
     reduced, diag, off, tau = _lapack_outputs(
         "zhetrd", theta, *lapack.zhetrd(herm, lower=1, lwork=lwork, overwrite_a=1)
     )
-    # range 3 selects eigenvalues by index; each pick is (m, w, iblock, isplit)
-    bottom, top = (
-        _lapack_outputs("dstebz", theta, *lapack.dstebz(diag, off, 3, 0.0, 0.0, k, k, 0.0, "B"))
-        for k in (1, d)
-    )
-    lo, hi = bottom[1][0], top[1][0]
-    # dstein takes its eigenvalues grouped by split-off block, in block order
-    swap = bottom[2][0] > top[2][0]
-    iblock = np.zeros(d, dtype=np.int32)
-    iblock[:2] = (top[2][0], bottom[2][0]) if swap else (bottom[2][0], top[2][0])
-    w = np.array([hi, lo] if swap else [lo, hi])
-    (z,) = _lapack_outputs("dstein", theta, *lapack.dstein(diag, off, w, iblock, bottom[3]))
-    x = np.array(z[:, ::-1] if swap else z, dtype=np.complex128)
+    w = np.empty(2)
+    x = np.empty((d, 2), dtype=np.complex128)
+    e = np.zeros(d)
+    # MRRR shifts T to the left end of its spectrum when one eigenpair is
+    # wanted, so λ_max is solved as λ_min of −T, next to its shift
+    for j, sign in enumerate((1.0, -1.0)):
+        e[:-1] = sign * off  # dstemr overwrites e
+        # range 2 selects eigenpairs by index
+        _, values, z = _lapack_outputs(
+            "dstemr", theta, *lapack.dstemr(sign * diag, e, 2, 0.0, 0.0, 1, 1)
+        )
+        w[j], x[:, j] = sign * values[0], z[:, 0]
     # with lower=1, Q fixes row 0 and its reflectors are the QR form of reduced[1:, :d-1]
     (x[1:], _) = _lapack_outputs(
         "zunmqr", theta, *lapack.zunmqr("L", "N", reduced[1:, :-1], tau, x[1:], 2)
     )
-    return lo, hi, x
+    return w[0], w[1], x
 
 
-def _extreme_pairs(parts, theta: np.ndarray):
-    """λ_min and λ_max of H(θ) for each θ in ``theta``, with their unit eigenvectors.
+def _extreme_pairs(a: np.ndarray, theta: np.ndarray):
+    """λ_min and λ_max of H(θ) for each θ in ``theta``, with the boundary points they give.
 
-    Returns ``(lo, hi, x_lo, x_hi)``: the eigenvalues as arrays over
-    ``theta`` and the eigenvectors as the rows of two ``len(theta)``×d
-    arrays.  From d = ``TRIDIAGONAL_MIN_DIM`` on each H(θ) is reduced once
-    to tridiagonal form and only the two extreme eigenpairs are computed
-    (:func:`_tridiagonal_extremes`); below it, batched ``eigh`` over
-    stacks of at most ``linalg.STACK_BYTES`` is cheaper.
+    Returns ``(lo, hi, z_lo, z_hi)``, arrays over ``theta``, with z = x†Ax
+    for the unit eigenvector x of λ_min or λ_max.  Each block of angles that
+    ``linalg._stack_slices`` allows is solved by :func:`_tridiagonal_extremes`
+    from d = ``TRIDIAGONAL_MIN_DIM`` on and by batched ``eigh`` below it, and
+    its eigenvectors become boundary points before the next block is solved.
     """
-    herm_re, herm_im = parts
-    d = herm_re.shape[0]
+    herm_re, herm_im = _hermitian_parts(a)
+    d = a.shape[0]
     lo, hi = np.empty(len(theta)), np.empty(len(theta))
-    pairs = np.empty((len(theta), 2, d), dtype=np.complex128)
-    if d < TRIDIAGONAL_MIN_DIM:
-        for rows in _stack_slices(len(theta), herm_re.nbytes):
-            t = theta[rows, None, None]
-            w, x = _herm_eig(np.cos(t) * herm_re + np.sin(t) * herm_im)
-            lo[rows], hi[rows] = w[:, 0], w[:, -1]
-            pairs[rows, 0], pairs[rows, 1] = x[:, :, 0], x[:, :, -1]
-    else:
+    z = np.empty((2, len(theta)), dtype=np.complex128)
+    tridiagonal = d >= TRIDIAGONAL_MIN_DIM
+    if tridiagonal:
         herm_re, herm_im = np.asfortranarray(herm_re), np.asfortranarray(herm_im)
         work, _ = lapack.zhetrd_lwork(d, lower=1)
         lwork = int(work.real)
-        cos, sin = np.cos(theta).tolist(), np.sin(theta).tolist()
-        for k, t in enumerate(theta.tolist()):
-            herm = cos[k] * herm_re + sin[k] * herm_im
-            lo[k], hi[k], x = _tridiagonal_extremes(herm, t, lwork)
-            pairs[k] = x.T
-    return lo, hi, pairs[:, 0], pairs[:, 1]
-
-
-def _rayleigh(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x†Ax for each row x of ``x``."""
-    return (x.conj() * (x @ a.T)).sum(axis=1)
+        angles, cos, sin = theta.tolist(), np.cos(theta).tolist(), np.sin(theta).tolist()
+    for rows in _stack_slices(len(theta), herm_re.nbytes):
+        if tridiagonal:
+            x = np.empty((2, rows.stop - rows.start, d), dtype=np.complex128)
+            for j, k in enumerate(range(rows.start, rows.stop)):
+                herm = cos[k] * herm_re + sin[k] * herm_im
+                lo[k], hi[k], pair = _tridiagonal_extremes(herm, angles[k], lwork)
+                x[:, j] = pair.T
+        else:
+            t = theta[rows, None, None]
+            w, v = _herm_eig(np.cos(t) * herm_re + np.sin(t) * herm_im)
+            lo[rows], hi[rows] = w[:, 0], w[:, -1]
+            x = np.stack([v[:, :, 0], v[:, :, -1]])
+        # one product of both halves: a single row would take numpy's gemv, not gemm
+        x = x.reshape(-1, d)
+        z[:, rows] = (x.conj() * (x @ a.T)).sum(axis=1).reshape(2, -1)
+    return lo, hi, z[0], z[1]
 
 
 def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportProfile:
@@ -201,12 +202,10 @@ def support_profile(a: np.ndarray, n_angles: int = ANGLES_DISPLAY) -> SupportPro
     angles = np.arange(n_angles) * (2 * np.pi / n_angles)
     solved = n_angles // 2 if n_angles % 2 == 0 else n_angles
     mirror = solved < n_angles
-    lo, hi, x_lo, x_hi = _extreme_pairs(_hermitian_parts(a), angles[:solved])
+    lo, hi, z_lo, z_hi = _extreme_pairs(a, angles[:solved])
     h = np.concatenate([hi, -lo]) if mirror else hi
-    x = np.concatenate([x_hi, x_lo]) if mirror else x_hi
-    return SupportProfile(
-        matrix=a, angles=angles, support_values=h, boundary_points=_rayleigh(a, x)
-    )
+    points = np.concatenate([z_hi, z_lo]) if mirror else z_hi
+    return SupportProfile(matrix=a, angles=angles, support_values=h, boundary_points=points)
 
 
 def widest_gap(system: EigenSystem) -> tuple[float, int, int]:
@@ -300,7 +299,6 @@ def origin_verdict(profile: SupportProfile) -> OriginVerdict:
     a = profile.matrix
     tol = MEMBERSHIP_REL_TOL * max(schatten_inf(a), 1e-300)
     angles, h, points = profile.angles, profile.support_values, profile.boundary_points
-    parts = _hermitian_parts(a)
     while True:
         cell_lower = _cell_lower_bounds(angles, points)
         k = int(np.argmin(h))
@@ -323,8 +321,7 @@ def origin_verdict(profile: SupportProfile) -> OriginVerdict:
             )
         ends = np.append(angles[1:], angles[0] + 2 * np.pi)
         mids = np.mod((angles[cells] + ends[cells]) / 2, 2 * np.pi)
-        _, mid_h, _, x_mid = _extreme_pairs(parts, mids)
-        mid_points = _rayleigh(a, x_mid)
+        _, mid_h, _, mid_points = _extreme_pairs(a, mids)
         order = np.argsort(np.concatenate([angles, mids]), kind="stable")
         angles = np.concatenate([angles, mids])[order]
         h = np.concatenate([h, mid_h])[order]

@@ -237,3 +237,15 @@ class TestCliContract:
                 last = read_rows(tmp, d)[-1]
                 expected = np.linalg.eigvals(perturbed_unitary(svd_polar(a), gen, 0.5))
                 assert row_miss(last, expected) <= 1e-12
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        d=st.integers(9, 16),
+        exponent=st.one_of(st.just(0), st.integers(-300, 300)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_commands_across_crossover(self, kind, d, exponent, seed):
+        # range changes eigensolver at numrange.TRIDIAGONAL_MIN_DIM; the body
+        # is test_commands' own, run on these examples
+        self.test_commands.hypothesis.inner_test(self, kind, d, exponent, seed)

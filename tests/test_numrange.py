@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestSupportSweep:
     def test_above_crossover(self):
         self.check_against_per_angle(sweep_input("non-normal", 64, seed=3), 720)
 
+    @pytest.mark.parametrize("d,n", [(8, 20_000), (64, 4000)])
+    def test_memory_bounded_by_one_block(self, d, n):
+        # batched eigh at d = 8, the tridiagonal route at d = 64: each block's
+        # eigenvectors become boundary points before the next block is solved
+        a = sweep_input("non-normal", d, seed=n)
+        tracemalloc.start()
+        try:
+            support_profile(a, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
 
 def solved_angles_by_tridiagonal(monkeypatch, a, n):
     """How many H(θ) a ``support_profile(a, n)`` reduces with ``zhetrd``."""
@@ -267,19 +281,53 @@ class TestExtremePairs:
         assert off[7] == 0.0
         TestSupportSweep().check_against_per_angle(a, n)
 
-    @pytest.mark.parametrize("routine", ["zhetrd", "dstebz", "dstein", "zunmqr"])
-    def test_lapack_failure_raises(self, monkeypatch, routine):
+    @pytest.mark.parametrize(
+        "routine,failed_call",
+        [
+            pytest.param("zhetrd", 1, id="zhetrd"),
+            pytest.param("dstemr", 1, id="dstemr"),
+            # λ_max, solved after λ_min has succeeded
+            pytest.param("dstemr", 2, id="dstemr-last"),
+            pytest.param("zunmqr", 1, id="zunmqr"),
+        ],
+    )
+    def test_lapack_failure_raises(self, monkeypatch, routine, failed_call):
         original = getattr(lapack, routine)
+        calls = []
 
         def failing(*args, **kwargs):
-            *outputs, _ = original(*args, **kwargs)
-            return (*outputs, 1)
+            *outputs, info = original(*args, **kwargs)
+            calls.append(args)
+            return (*outputs, 1 if len(calls) == failed_call else info)
 
         monkeypatch.setattr(lapack, routine, failing)
         a = sweep_input("non-normal", TRIDIAGONAL_MIN_DIM, seed=0)
         message = rf"{routine} failed with info 1 at θ = 0.0"
         with pytest.raises(EigendecompositionError, match=message):
             support_profile(a, 16)
+        assert len(calls) == failed_call
+        if routine == "dstemr" and failed_call == 2:
+            # λ_max is λ_min of −T: eigenpair 1 of the negated tridiagonal
+            assert calls[1][5:7] == (1, 1)
+            assert np.array_equal(calls[1][0], -calls[0][0])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("answer", [INSIDE, OUTSIDE])
+    @pytest.mark.parametrize("d", [TRIDIAGONAL_MIN_DIM, 16, 64])
+    def test_scale_free_verdicts(self, tmp_path, capsys, d, answer, scale):
+        # W(cA) = c·W(A), so every scale has A's verdict; the tridiagonal
+        # route must keep h accurate at 1e-300 and finite from 1e150 up
+        a = known_membership(d, answer, seed=d) * scale
+        path = tmp_path / "a.json"
+        iofmt.write_matrix(path, a)
+        out = tmp_path / "out"
+        assert cli.main(["range", "--input", str(path), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"origin verdict: {answer}"
+        rows = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1)
+        tol = 1e-12 * schatten_inf(a)
+        for theta, h, re_z, im_z in rows[[0, 97, 360, 361, 719]]:
+            assert abs(h - eigvalsh_support(a, theta)) <= tol
+            assert abs(np.real(np.exp(-1j * theta) * (re_z + 1j * im_z)) - h) <= tol
 
     def test_refinement_above_crossover(self):
         # a Hermitian A has W(A) = [λ_min, λ_max] ∋ 0, with min h = 0 at
